@@ -47,6 +47,7 @@ fn main() {
                 MetricDef::minimize_key(metric_keys::TIME_MIN),
                 MetricDef::minimize_key(metric_keys::POWER_KJ),
             ],
+            None,
         )
     );
 

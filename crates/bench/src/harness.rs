@@ -12,17 +12,15 @@
 
 use crate::paper::PaperRow;
 use airdrop_sim::{AirdropConfig, AirdropEnv};
-use cluster_sim::{ClusterSpec, Usage};
+use cluster_sim::{ClusterSession, ClusterSpec, Usage};
 use decision::prelude::*;
 use decision::storage::Journal;
-use dist_exec::{run_recorded, Deployment, ExecSpec, FnEnvFactory};
+use dist_exec::{Control, Deployment, ExecSpec, FnEnvFactory};
 use gymrs::Environment;
 use rl_algos::ppo::PpoConfig;
 use rl_algos::sac::SacConfig;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// The paper's training budget (§V-a).
 pub const PAPER_STEPS: usize = 200_000;
@@ -204,90 +202,6 @@ pub fn harness_sac(opts: &HarnessOpts) -> SacConfig {
     }
 }
 
-/// Bridges the execution runtime's per-iteration telemetry to the
-/// `decision` crate's [`TrialContext`]: every
-/// [`dist_exec::keys::TRIAL_ITERATION`] event's tail-mean return is
-/// reported against the iteration clock (every configuration reports at
-/// iterations 1, 2, 3, … so [`MedianPruner`]'s same-step comparison finds
-/// peers even when rollout sizes differ), and the pruner's verdict flows
-/// back through [`should_stop`](telemetry::Recorder::should_stop), which
-/// stops the trial's backends mid-training. One code path therefore feeds
-/// both the cluster trace and the pruning curve.
-///
-/// A [`TrialContext`] borrows from its study, so it cannot live inside
-/// the `'static` [`telemetry::SharedRecorder`] handle. The bridge instead
-/// rendezvous with the thread that owns the context: each iteration event
-/// blocks on a zero-capacity channel until the context has seen the
-/// report and answered, so pruning stays exactly as synchronous as it
-/// was — the trial stops at the iteration the pruner fired on.
-struct PrunerBridge {
-    /// The trace recorder every instrument call is forwarded to.
-    ring: Arc<telemetry::RingRecorder>,
-    /// Iteration reports out to the context thread; `None` once closed.
-    reports: Mutex<Option<SyncSender<(u64, f64)>>>,
-    /// The context thread's prune verdict for each report sent.
-    verdicts: Mutex<Receiver<bool>>,
-    /// Latched once the pruner fires.
-    stopped: AtomicBool,
-}
-
-impl PrunerBridge {
-    /// Stop relaying reports (the training run is over); the context
-    /// thread's receive loop ends when the sender drops.
-    fn close(&self) {
-        self.reports.lock().expect("bridge lock").take();
-    }
-}
-
-impl telemetry::Recorder for PrunerBridge {
-    fn enabled(&self) -> bool {
-        true
-    }
-    fn counter_add(&self, key: telemetry::Key, n: u64) {
-        self.ring.counter_add(key, n);
-    }
-    fn accum_add(&self, key: telemetry::Key, v: f64) {
-        self.ring.accum_add(key, v);
-    }
-    fn gauge_set(&self, key: telemetry::Key, v: f64) {
-        self.ring.gauge_set(key, v);
-    }
-    fn span_begin(&self, key: telemetry::Key) -> telemetry::SpanId {
-        self.ring.span_begin(key)
-    }
-    fn span_end(&self, span: telemetry::SpanId) {
-        self.ring.span_end(span);
-    }
-    fn event(&self, key: telemetry::Key, fields: &[(telemetry::Key, telemetry::Value)]) {
-        self.ring.event(key, fields);
-        if key != dist_exec::keys::TRIAL_ITERATION {
-            return;
-        }
-        let field = |name: telemetry::Key| fields.iter().find(|(k, _)| *k == name).map(|(_, v)| v);
-        let Some(telemetry::Value::U64(iteration)) = field(dist_exec::keys::F_ITERATION) else {
-            return;
-        };
-        let Some(telemetry::Value::F64(mean)) = field(dist_exec::keys::F_MEAN_RETURN) else {
-            return;
-        };
-        // NaN until the first episode finishes: nothing to prune on yet.
-        if !mean.is_finite() {
-            return;
-        }
-        let guard = self.reports.lock().expect("bridge lock");
-        if let Some(tx) = guard.as_ref() {
-            if tx.send((*iteration, *mean)).is_ok() {
-                if let Ok(true) = self.verdicts.lock().expect("bridge lock").recv() {
-                    self.stopped.store(true, Ordering::SeqCst);
-                }
-            }
-        }
-    }
-    fn should_stop(&self) -> bool {
-        self.stopped.load(Ordering::SeqCst) || self.ring.should_stop()
-    }
-}
-
 /// Run one Table I row; returns the study metrics (averaged over
 /// `opts.replicas` independently-seeded trainings).
 pub fn run_row(row: &PaperRow, opts: &HarnessOpts) -> Result<MetricValues, String> {
@@ -377,13 +291,17 @@ pub fn run_row_with(
     Ok(m)
 }
 
-/// One training replica of a row. When `ctx` is given, per-iteration
-/// returns stream to the study's pruner through a [`PrunerBridge`].
+/// One training replica of a row. When `ctx` is given, every iteration's
+/// tail-mean return is reported to the study's pruner against the
+/// iteration clock (every configuration reports at iterations 1, 2, 3, …
+/// so [`MedianPruner`]'s same-step comparison finds peers even when
+/// rollout sizes differ), and a prune verdict stops training at that
+/// iteration.
 fn run_row_once(
     row: &PaperRow,
     opts: &HarnessOpts,
     replica: u64,
-    ctx: Option<&mut TrialContext<'_>>,
+    mut ctx: Option<&mut TrialContext<'_>>,
 ) -> Result<MetricValues, String> {
     let mut spec = ExecSpec::new(
         row.framework,
@@ -407,42 +325,21 @@ fn run_row_once(
     // read off the session's internal accounting. The two are
     // bitwise-identical by construction (the debug assertions check it).
     let ring = Arc::new(telemetry::RingRecorder::new());
-    let report = match ctx {
-        None => run_recorded(&spec, &factory, ring.clone())?,
-        Some(ctx) => {
-            let (report_tx, report_rx) = sync_channel::<(u64, f64)>(0);
-            let (verdict_tx, verdict_rx) = sync_channel::<bool>(0);
-            let bridge = Arc::new(PrunerBridge {
-                ring: ring.clone(),
-                reports: Mutex::new(Some(report_tx)),
-                verdicts: Mutex::new(verdict_rx),
-                stopped: AtomicBool::new(false),
-            });
-            // Training runs on a scoped thread so this thread can hold
-            // the (study-borrowing) trial context and answer each
-            // iteration report as it arrives; the rendezvous channels
-            // keep the exchange as synchronous as a direct call.
-            let spec_ref = &spec;
-            let factory_ref = &factory;
-            std::thread::scope(|s| {
-                let b = bridge.clone();
-                let training = s.spawn(move || {
-                    let report = run_recorded(spec_ref, factory_ref, b.clone());
-                    b.close();
-                    report
-                });
-                while let Ok((iteration, mean)) = report_rx.recv() {
-                    let prune = ctx.report(iteration, mean);
-                    if verdict_tx.send(prune).is_err() {
-                        break;
-                    }
-                }
-                training.join().map_err(|_| "training thread panicked".to_string())?
-            })?
+    let cluster = ClusterSpec::paper_testbed(row.nodes);
+    let mut session = ClusterSession::with_recorder(cluster.clone(), ring.clone());
+    let mut report = dist_exec::train(&spec, &factory, &mut session, |iteration, mean| {
+        // NaN until the first episode finishes: nothing to prune on yet.
+        let prune =
+            mean.is_finite() && ctx.as_deref_mut().is_some_and(|ctx| ctx.report(iteration, mean));
+        if prune {
+            Control::Stop
+        } else {
+            Control::Continue
         }
-    };
+    })?;
+    report.usage = session.finish();
     let snap = ring.snapshot();
-    let usage = Usage::from_snapshot(&snap, &ClusterSpec::paper_testbed(row.nodes));
+    let usage = Usage::from_snapshot(&snap, &cluster);
     debug_assert_eq!(usage.wall_s.to_bits(), report.usage.wall_s.to_bits());
     debug_assert_eq!(usage.energy_j.to_bits(), report.usage.energy_j.to_bits());
     let env_steps = snap.counter(dist_exec::keys::ENV_STEPS.name()).unwrap_or(report.env_steps);
@@ -551,6 +448,7 @@ pub fn emit_figure(
             trials,
             &["rk_order", "framework", "algorithm", "nodes", "cores", "draw"],
             &[x, y],
+            None,
         );
         std::fs::write(dir.join(format!("{name}.csv")), csv).map_err(|e| e.to_string())?;
     }
@@ -653,7 +551,7 @@ mod tests {
 
     #[test]
     fn pruner_verdict_stops_training_mid_trial() {
-        // An always-fire pruner wired through the PrunerBridge must stop
+        // An always-fire pruner wired through the iteration hook must stop
         // the backend after its first iteration: far fewer env steps than
         // the requested budget, and the trial recorded as pruned.
         struct AlwaysPrune;

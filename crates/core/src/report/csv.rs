@@ -6,56 +6,28 @@ use crate::trial::{Trial, TrialStatus};
 
 /// Serialize trials as CSV with columns `id, <params…>, <metrics…>,
 /// status`. Fields containing commas or quotes are quoted per RFC 4180.
-pub fn trials_to_csv(trials: &[Trial], params: &[&str], metrics: &[MetricDef]) -> String {
-    let mut out = String::new();
-    let mut header: Vec<String> = vec!["id".into()];
-    header.extend(params.iter().map(|p| p.to_string()));
-    header.extend(metrics.iter().map(|m| m.name.clone()));
-    header.push("status".into());
-    out.push_str(&header.iter().map(|h| escape(h)).collect::<Vec<_>>().join(","));
-    out.push('\n');
-
-    for t in trials {
-        let mut row: Vec<String> = vec![t.id.to_string()];
-        for p in params {
-            row.push(t.config.get(p).map(|v| v.to_string()).unwrap_or_default());
-        }
-        for m in metrics {
-            row.push(t.metrics.get(&m.name).map(|v| format!("{v}")).unwrap_or_default());
-        }
-        row.push(
-            match t.status {
-                TrialStatus::Complete => "complete",
-                TrialStatus::Pruned => "pruned",
-                TrialStatus::Failed => "failed",
-            }
-            .into(),
-        );
-        out.push_str(&row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(","));
-        out.push('\n');
-    }
-    out
-}
-
-/// Like [`trials_to_csv`], but each metric column is followed by four
-/// dispersion columns computed from the trial's attached sample
-/// distribution: `<m>_std`, `<m>_iqr`, `<m>_ci_lo`, `<m>_ci_hi` (the
-/// bootstrap confidence bounds under `spec`). Trials without a
-/// distribution for a metric leave those four fields empty, so scalar-only
-/// studies still export cleanly.
-pub fn trials_to_csv_with_dispersion(
+///
+/// With a `dispersion` spec, each metric column is followed by four
+/// columns computed from the trial's attached sample distribution:
+/// `<m>_std`, `<m>_iqr`, `<m>_ci_lo`, `<m>_ci_hi` (the bootstrap
+/// confidence bounds under the spec). Trials without a distribution for
+/// a metric leave those four fields empty, so scalar-only studies still
+/// export cleanly.
+pub fn trials_to_csv(
     trials: &[Trial],
     params: &[&str],
     metrics: &[MetricDef],
-    spec: &BootstrapSpec,
+    dispersion: Option<&BootstrapSpec>,
 ) -> String {
     let mut out = String::new();
     let mut header: Vec<String> = vec!["id".into()];
     header.extend(params.iter().map(|p| p.to_string()));
     for m in metrics {
         header.push(m.name.clone());
-        for suffix in ["std", "iqr", "ci_lo", "ci_hi"] {
-            header.push(format!("{}_{suffix}", m.name));
+        if dispersion.is_some() {
+            for suffix in ["std", "iqr", "ci_lo", "ci_hi"] {
+                header.push(format!("{}_{suffix}", m.name));
+            }
         }
     }
     header.push("status".into());
@@ -69,6 +41,7 @@ pub fn trials_to_csv_with_dispersion(
         }
         for m in metrics {
             row.push(t.metrics.get(&m.name).map(|v| format!("{v}")).unwrap_or_default());
+            let Some(spec) = dispersion else { continue };
             match t.metrics.distribution(&m.name).filter(|d| !d.is_empty()) {
                 Some(d) => {
                     let ci = d.bootstrap_ci(spec);
@@ -116,7 +89,7 @@ mod tests {
             Configuration::new().with("fw", ParamValue::Str("RLlib".into())),
             MetricValues::new().with("reward", -0.5),
         )];
-        let csv = trials_to_csv(&trials, &["fw"], &[MetricDef::maximize("reward")]);
+        let csv = trials_to_csv(&trials, &["fw"], &[MetricDef::maximize("reward")], None);
         let mut lines = csv.lines();
         assert_eq!(lines.next(), Some("id,fw,reward,status"));
         assert_eq!(lines.next(), Some("0,RLlib,-0.5,complete"));
@@ -130,7 +103,7 @@ mod tests {
             Configuration::new().with("note", ParamValue::Str("a,b".into())),
             MetricValues::new().with("m", 1.0),
         )];
-        let csv = trials_to_csv(&trials, &["note"], &[MetricDef::maximize("m")]);
+        let csv = trials_to_csv(&trials, &["note"], &[MetricDef::maximize("m")], None);
         assert!(csv.contains("\"a,b\""));
     }
 
@@ -149,8 +122,7 @@ mod tests {
             Trial::complete(1, Configuration::new(), MetricValues::new().with("reward", 5.0)),
         ];
         let spec = BootstrapSpec::default();
-        let csv =
-            trials_to_csv_with_dispersion(&trials, &[], &[MetricDef::maximize("reward")], &spec);
+        let csv = trials_to_csv(&trials, &[], &[MetricDef::maximize("reward")], Some(&spec));
         let mut lines = csv.lines();
         assert_eq!(
             lines.next(),
@@ -169,7 +141,7 @@ mod tests {
     #[test]
     fn missing_values_are_empty_fields() {
         let trials = vec![Trial::complete(0, Configuration::new(), MetricValues::new())];
-        let csv = trials_to_csv(&trials, &["fw"], &[MetricDef::maximize("reward")]);
+        let csv = trials_to_csv(&trials, &["fw"], &[MetricDef::maximize("reward")], None);
         assert!(csv.lines().nth(1).unwrap().starts_with("0,,"));
     }
 }

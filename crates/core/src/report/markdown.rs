@@ -7,11 +7,17 @@ use crate::trial::{Trial, TrialStatus};
 
 /// Render trials as a GitHub-flavoured markdown table; Pareto-front rows
 /// are bolded.
+///
+/// With a `ci` spec, metric cells carry a bootstrap confidence interval
+/// when the trial has a sample distribution attached:
+/// `-0.45 [-0.52, -0.39]`. Scalar-only cells render as bare point
+/// estimates, so the table mixes instrumented and legacy trials.
 pub fn trials_to_markdown(
     trials: &[Trial],
     params: &[&str],
     metrics: &[MetricDef],
     front: Option<&ParetoFront>,
+    ci: Option<&BootstrapSpec>,
 ) -> String {
     let mut out = String::new();
     out.push_str("| # |");
@@ -19,7 +25,10 @@ pub fn trials_to_markdown(
         out.push_str(&format!(" {p} |"));
     }
     for m in metrics {
-        out.push_str(&format!(" {} |", m.name));
+        match ci {
+            Some(spec) => out.push_str(&format!(" {} ({:.0}% CI) |", m.name, spec.level * 100.0)),
+            None => out.push_str(&format!(" {} |", m.name)),
+        }
     }
     out.push_str(" status |\n|---|");
     for _ in 0..params.len() + metrics.len() + 1 {
@@ -36,62 +45,14 @@ pub fn trials_to_markdown(
             out.push_str(&format!(" {emph}{v}{emph} |"));
         }
         for m in metrics {
-            let v = t.metrics.get(&m.name).map(|v| format!("{v:.2}")).unwrap_or_else(|| "-".into());
-            out.push_str(&format!(" {emph}{v}{emph} |"));
-        }
-        let status = match t.status {
-            TrialStatus::Complete => "ok",
-            TrialStatus::Pruned => "pruned",
-            TrialStatus::Failed => "failed",
-        };
-        out.push_str(&format!(" {status} |\n"));
-    }
-    out
-}
-
-/// Like [`trials_to_markdown`], but metric cells carry a bootstrap
-/// confidence interval when the trial has a sample distribution attached:
-/// `-0.45 [-0.52, -0.39]`. Scalar-only cells render as before, so the
-/// table mixes instrumented and legacy trials without surprises.
-pub fn trials_to_markdown_with_ci(
-    trials: &[Trial],
-    params: &[&str],
-    metrics: &[MetricDef],
-    front: Option<&ParetoFront>,
-    spec: &BootstrapSpec,
-) -> String {
-    let mut out = String::new();
-    out.push_str("| # |");
-    for p in params {
-        out.push_str(&format!(" {p} |"));
-    }
-    for m in metrics {
-        out.push_str(&format!(" {} ({:.0}% CI) |", m.name, spec.level * 100.0));
-    }
-    out.push_str(" status |\n|---|");
-    for _ in 0..params.len() + metrics.len() + 1 {
-        out.push_str("---|");
-    }
-    out.push('\n');
-
-    for (i, t) in trials.iter().enumerate() {
-        let on_front = front.map(|f| f.contains(i)).unwrap_or(false);
-        let emph = if on_front { "**" } else { "" };
-        out.push_str(&format!("| {emph}{}{emph} |", t.id + 1));
-        for p in params {
-            let v = t.config.get(p).map(|v| v.to_string()).unwrap_or_else(|| "-".into());
-            out.push_str(&format!(" {emph}{v}{emph} |"));
-        }
-        for m in metrics {
-            let v = match t.metrics.get(&m.name) {
-                Some(v) => match t.metrics.distribution(&m.name).filter(|d| !d.is_empty()) {
-                    Some(d) => {
-                        let ci = d.bootstrap_ci(spec);
-                        format!("{v:.2} [{:.2}, {:.2}]", ci.lo, ci.hi)
-                    }
-                    None => format!("{v:.2}"),
-                },
-                None => "-".into(),
+            let dist = t.metrics.distribution(&m.name).filter(|d| !d.is_empty());
+            let v = match (t.metrics.get(&m.name), ci.zip(dist)) {
+                (Some(v), Some((spec, d))) => {
+                    let ci = d.bootstrap_ci(spec);
+                    format!("{v:.2} [{:.2}, {:.2}]", ci.lo, ci.hi)
+                }
+                (Some(v), None) => format!("{v:.2}"),
+                (None, _) => "-".into(),
             };
             out.push_str(&format!(" {emph}{v}{emph} |"));
         }
@@ -133,7 +94,7 @@ mod tests {
 
     #[test]
     fn header_and_rows_align() {
-        let md = trials_to_markdown(&trials(), &["fw"], &metrics(), None);
+        let md = trials_to_markdown(&trials(), &["fw"], &metrics(), None, None);
         let lines: Vec<&str> = md.lines().collect();
         assert!(lines.len() >= 4);
         let cols = lines[0].matches('|').count();
@@ -147,7 +108,7 @@ mod tests {
         let ts = trials();
         let front = ParetoFront::compute(&ts, &metrics());
         assert_eq!(front.indices(), &[0]);
-        let md = trials_to_markdown(&ts, &["fw"], &metrics(), Some(&front));
+        let md = trials_to_markdown(&ts, &["fw"], &metrics(), Some(&front), None);
         assert!(md.contains("**sb**"));
         assert!(!md.contains("**ray**"));
     }
@@ -157,12 +118,12 @@ mod tests {
         let mut ts = trials();
         ts[0].metrics.set_distribution("reward", vec![-0.5, -0.45, -0.4].into());
         let md =
-            trials_to_markdown_with_ci(&ts, &["fw"], &metrics(), None, &BootstrapSpec::default());
+            trials_to_markdown(&ts, &["fw"], &metrics(), None, Some(&BootstrapSpec::default()));
         assert!(md.contains("reward (95% CI)"), "header names the level:\n{md}");
         assert!(md.contains('['), "instrumented cell shows an interval:\n{md}");
         // The scalar-only trial still renders a bare point estimate.
         assert!(md.contains(" -0.73 |"), "legacy cell unchanged:\n{md}");
-        let plain = trials_to_markdown(&ts, &["fw"], &metrics(), None);
+        let plain = trials_to_markdown(&ts, &["fw"], &metrics(), None, None);
         let cols = plain.lines().next().unwrap().matches('|').count();
         for l in md.lines() {
             assert_eq!(l.matches('|').count(), cols, "misaligned row: {l}");
@@ -172,7 +133,7 @@ mod tests {
     #[test]
     fn missing_values_render_dash() {
         let t = Trial::complete(0, Configuration::new(), MetricValues::new());
-        let md = trials_to_markdown(&[t], &["fw"], &metrics(), None);
+        let md = trials_to_markdown(&[t], &["fw"], &metrics(), None, None);
         assert!(md.contains("| - |"));
     }
 }

@@ -7,36 +7,22 @@ use crate::trial::{Trial, TrialStatus};
 /// Render trials as an aligned ASCII table: one row per trial, columns
 /// `#`, the given parameters, the given metrics, and the trial status
 /// (mirroring Table I's "Configuration | Results" layout).
-pub fn render_table(trials: &[Trial], params: &[&str], metrics: &[MetricDef]) -> String {
-    render(trials, params, metrics, None)
-}
-
-/// Like [`render_table`], but each metric gets two extra columns computed
+///
+/// With a `dispersion` spec, each metric gets two extra columns computed
 /// from the trial's attached sample distribution: `<m> std` (sample
-/// standard deviation) and the bootstrap confidence interval under
-/// `spec`. Trials
-/// without a distribution show `-` in both, so scalar-only studies render
-/// the same numbers they always did, just with two sparse columns.
-pub fn render_table_with_dispersion(
+/// standard deviation) and the bootstrap confidence interval under the
+/// spec. Trials without a distribution show `-` in both.
+pub fn render_table(
     trials: &[Trial],
     params: &[&str],
     metrics: &[MetricDef],
-    spec: &BootstrapSpec,
-) -> String {
-    render(trials, params, metrics, Some(spec))
-}
-
-fn render(
-    trials: &[Trial],
-    params: &[&str],
-    metrics: &[MetricDef],
-    spec: Option<&BootstrapSpec>,
+    dispersion: Option<&BootstrapSpec>,
 ) -> String {
     let mut header: Vec<String> = vec!["#".to_string()];
     header.extend(params.iter().map(|p| p.to_string()));
     for m in metrics {
         header.push(m.name.clone());
-        if spec.is_some() {
+        if dispersion.is_some() {
             header.push(format!("{} std", m.name));
             header.push(format!("{} CI", m.name));
         }
@@ -53,7 +39,7 @@ fn render(
             row.push(
                 t.metrics.get(&m.name).map(|v| format!("{v:.2}")).unwrap_or_else(|| "-".into()),
             );
-            if let Some(spec) = spec {
+            if let Some(spec) = dispersion {
                 match t.metrics.distribution(&m.name).filter(|d| !d.is_empty()) {
                     Some(d) => {
                         let ci = d.bootstrap_ci(spec);
@@ -147,7 +133,7 @@ mod tests {
 
     #[test]
     fn table_contains_every_cell() {
-        let s = render_table(&sample_trials(), &["rk_order", "framework"], &metrics());
+        let s = render_table(&sample_trials(), &["rk_order", "framework"], &metrics(), None);
         for needle in [
             "rk_order",
             "framework",
@@ -167,7 +153,7 @@ mod tests {
 
     #[test]
     fn rows_are_one_indexed_like_the_paper() {
-        let s = render_table(&sample_trials(), &["rk_order"], &metrics());
+        let s = render_table(&sample_trials(), &["rk_order"], &metrics(), None);
         assert!(s.contains("| 1 |") || s.contains("|  1 |") || s.contains(" 1 |"));
     }
 
@@ -176,14 +162,14 @@ mod tests {
         let t = Trial::complete(0, Configuration::new(), MetricValues::new());
         let mut failed = t.clone();
         failed.status = TrialStatus::Failed;
-        let s = render_table(&[failed], &["rk_order"], &metrics());
+        let s = render_table(&[failed], &["rk_order"], &metrics(), None);
         assert!(s.contains('-'));
         assert!(s.contains("failed"));
     }
 
     #[test]
     fn all_lines_have_equal_width() {
-        let s = render_table(&sample_trials(), &["rk_order", "framework"], &metrics());
+        let s = render_table(&sample_trials(), &["rk_order", "framework"], &metrics(), None);
         let widths: std::collections::BTreeSet<usize> =
             s.lines().map(|l| l.chars().count()).collect();
         assert_eq!(widths.len(), 1, "ragged table:\n{s}");
@@ -194,7 +180,7 @@ mod tests {
         let mut ts = sample_trials();
         ts[0].metrics.set_distribution("reward", vec![-0.7, -0.65, -0.6].into());
         let spec = BootstrapSpec::default();
-        let s = render_table_with_dispersion(&ts, &["rk_order"], &metrics(), &spec);
+        let s = render_table(&ts, &["rk_order"], &metrics(), Some(&spec));
         assert!(s.contains("reward std"));
         assert!(s.contains("reward CI"));
         assert!(s.contains('['), "instrumented row shows an interval:\n{s}");
@@ -202,13 +188,13 @@ mod tests {
             s.lines().map(|l| l.chars().count()).collect();
         assert_eq!(widths.len(), 1, "ragged table:\n{s}");
         // Trial 1 has no distribution: its dispersion cells are dashes.
-        let plain = render_table(&ts, &["rk_order"], &metrics());
+        let plain = render_table(&ts, &["rk_order"], &metrics(), None);
         assert!(!plain.contains("reward std"), "legacy table unchanged");
     }
 
     #[test]
     fn empty_trials_render_header_only() {
-        let s = render_table(&[], &["rk_order"], &metrics());
+        let s = render_table(&[], &["rk_order"], &metrics(), None);
         assert!(s.contains("rk_order"));
         assert_eq!(s.lines().count(), 4, "rule, header, rule, closing rule");
     }

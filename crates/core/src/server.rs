@@ -194,17 +194,11 @@ impl StudyServer {
             for (i, trial) in results {
                 per_lane[i].push(trial);
             }
-            let stop = self.recorder.should_stop()
-                || self.studies.iter().any(|s| s.recorder().should_stop());
             for (i, entry) in lanes.iter_mut().enumerate() {
                 let Some(lane) = entry else { continue };
                 lane.session.absorb(std::mem::take(&mut per_lane[i]));
                 lane.in_wave = 0;
-                if stop {
-                    let lane = entry.take().unwrap();
-                    outcomes[i].trials = lane.session.into_trials();
-                    self.recorder.span_end(lane.span);
-                } else if lane.idle {
+                if lane.idle {
                     // Re-poll after absorbing: an idle lane may be truly
                     // exhausted or just momentarily out of proposals.
                     lane.idle = false;
@@ -214,9 +208,6 @@ impl StudyServer {
                         self.recorder.span_end(lane.span);
                     }
                 }
-            }
-            if stop {
-                break;
             }
         }
         outcomes

@@ -305,11 +305,6 @@ impl<'a> Session<'a> {
         self.study.journal_event(&self.checkpoint_event());
         self.trials
     }
-
-    /// Return the trials without a closing checkpoint (early drain).
-    pub(crate) fn into_trials(self) -> Vec<Trial> {
-        self.trials
-    }
 }
 
 impl Study {
@@ -354,10 +349,6 @@ impl Study {
 
     pub(crate) fn max_concurrent_trials(&self) -> Option<usize> {
         self.max_concurrent_trials
-    }
-
-    pub(crate) fn recorder(&self) -> &SharedRecorder {
-        &self.recorder
     }
 
     fn journal_event(&self, ev: &StudyEvent) {
@@ -469,18 +460,12 @@ impl Study {
     /// Resumes from the journal when one is configured: already-stored
     /// trials count against the explorer budget, seed its history, and
     /// replay into the pruner; an interrupted trial re-runs with its
-    /// logged configuration. When the recorder's
-    /// [`telemetry::Recorder::should_stop`] flag trips, the study drains
-    /// gracefully between trials — everything already finished is durable
-    /// and a later run picks up where it left off.
+    /// logged configuration.
     pub fn run(&self) -> Result<Vec<Trial>, String> {
         let mut session = Session::start(self)?;
         while let Some(slot) = session.next_slot() {
             let trial = self.execute(slot);
             session.absorb(vec![trial]);
-            if self.recorder.should_stop() {
-                return Ok(session.into_trials());
-            }
         }
         Ok(session.finish())
     }
@@ -527,9 +512,6 @@ impl Study {
             }
             let results = crate::par::par_map(wave, |slot| self.execute(slot));
             session.absorb(results);
-            if self.recorder.should_stop() {
-                return Ok(session.into_trials());
-            }
         }
         Ok(session.finish())
     }

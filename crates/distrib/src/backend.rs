@@ -1,9 +1,8 @@
-//! The [`Backend`] trait, environment factories and the dispatch entry
-//! point.
+//! Environment factories and the run entry points.
 
-use crate::backends::{RllibLike, StableBaselinesLike, TfAgentsLike};
-use crate::framework::Framework;
+use crate::backends::train;
 use crate::report::ExecReport;
+use crate::runtime::Control;
 use crate::spec::ExecSpec;
 use cluster_sim::{ClusterSession, ClusterSpec};
 use gymrs::Environment;
@@ -11,8 +10,8 @@ use telemetry::SharedRecorder;
 
 /// Creates per-worker environment instances.
 ///
-/// Factories are `Send + Sync` because the RLlib-like backend builds
-/// environments inside worker threads.
+/// Factories are `Send + Sync` because runtime workers build
+/// environments inside their own threads.
 pub trait EnvFactory: Send + Sync {
     /// Build a fresh environment seeded with `seed`.
     fn make(&self, seed: u64) -> Box<dyn Environment>;
@@ -39,39 +38,8 @@ where
     }
 }
 
-/// A training execution architecture.
-pub trait Backend {
-    /// The framework this backend models.
-    fn framework(&self) -> Framework;
-
-    /// Run the training described by `spec` on environments from
-    /// `factory`, narrating costs to `session`. Per-iteration progress
-    /// lands on the session's telemetry recorder as
-    /// [`crate::keys::TRIAL_ITERATION`] events, and the recorder's
-    /// [`should_stop`](telemetry::Recorder::should_stop) answer may stop
-    /// the trial early (e.g. for pruning).
-    ///
-    /// Worker failures the spec's [`FaultPolicy`](crate::runtime::FaultPolicy)
-    /// cannot absorb surface as `Err` — backends never panic the study.
-    fn train(
-        &self,
-        spec: &ExecSpec,
-        factory: &dyn EnvFactory,
-        session: &mut ClusterSession,
-    ) -> Result<ExecReport, String>;
-}
-
-/// Build the backend for a framework.
-pub fn backend_for(framework: Framework) -> Box<dyn Backend> {
-    match framework {
-        Framework::RayRllib => Box::new(RllibLike),
-        Framework::StableBaselines => Box::new(StableBaselinesLike),
-        Framework::TfAgents => Box::new(TfAgentsLike),
-    }
-}
-
 /// Run a full training execution: validates the spec, builds the cluster
-/// session for the requested deployment, dispatches to the right backend
+/// session for the requested deployment, trains on the framework's plan
 /// and finalizes the usage accounting.
 pub fn run(spec: &ExecSpec, factory: &dyn EnvFactory) -> Result<ExecReport, String> {
     run_recorded(spec, factory, telemetry::null_recorder())
@@ -80,10 +48,9 @@ pub fn run(spec: &ExecSpec, factory: &dyn EnvFactory) -> Result<ExecReport, Stri
 /// [`run`] with a telemetry recorder tapping the whole stack: the cluster
 /// session's accounting, the driver's [`crate::keys::TRIAL_ITERATION`]
 /// events and step counters, the runtime's dispatch traffic and the
-/// vectorized environments' tick counters all land on `recorder`. A
-/// recorder answering `true` from
-/// [`should_stop`](telemetry::Recorder::should_stop) ends the trial at
-/// the next iteration boundary — this is how pruners tap a running trial.
+/// vectorized environments' tick counters all land on `recorder`. The
+/// recorder only observes; to stop a trial early, call [`train`] with a
+/// per-iteration hook.
 pub fn run_recorded(
     spec: &ExecSpec,
     factory: &dyn EnvFactory,
@@ -92,8 +59,7 @@ pub fn run_recorded(
     spec.validate()?;
     let cluster = ClusterSpec::paper_testbed(spec.deployment.nodes);
     let mut session = ClusterSession::with_recorder(cluster, recorder);
-    let backend = backend_for(spec.framework);
-    let mut report = backend.train(spec, factory, &mut session)?;
+    let mut report = train(spec, factory, &mut session, |_, _| Control::Continue)?;
     report.usage = session.finish();
     Ok(report)
 }
@@ -101,6 +67,8 @@ pub fn run_recorded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framework::Framework;
+    use crate::report::TrainedModel;
     use crate::spec::Deployment;
     use gymrs::envs::GridWorld;
     use rl_algos::Algorithm;
@@ -111,13 +79,6 @@ mod tests {
             e.seed(seed);
             Box::new(e) as Box<dyn Environment>
         })
-    }
-
-    #[test]
-    fn dispatch_builds_matching_backend() {
-        for f in Framework::ALL {
-            assert_eq!(backend_for(f).framework(), f);
-        }
     }
 
     #[test]
@@ -181,41 +142,52 @@ mod tests {
     }
 
     #[test]
-    fn recorder_should_stop_ends_the_trial_early() {
-        use crate::run_recorded;
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-        use telemetry::{Key, Recorder, SpanId, Value};
-
-        /// Stops after two TRIAL_ITERATION events.
-        #[derive(Default)]
-        struct StopAfterTwo(AtomicU64);
-        impl Recorder for StopAfterTwo {
-            fn counter_add(&self, _: Key, _: u64) {}
-            fn accum_add(&self, _: Key, _: f64) {}
-            fn gauge_set(&self, _: Key, _: f64) {}
-            fn span_begin(&self, _: Key) -> SpanId {
-                SpanId(0)
-            }
-            fn span_end(&self, _: SpanId) {}
-            fn event(&self, key: Key, _: &[(Key, Value)]) {
-                if key == crate::keys::TRIAL_ITERATION {
-                    self.0.fetch_add(1, Ordering::SeqCst);
-                }
-            }
-            fn should_stop(&self) -> bool {
-                self.0.load(Ordering::SeqCst) >= 2
-            }
-        }
-
+    fn on_iteration_stop_ends_the_trial_early() {
         // Four 256-step iterations, so stopping after two is observable
         // (`fast_spec`'s 512 steps end after two iterations anyway).
-        let mut spec = fast_spec(Framework::StableBaselines);
-        spec.total_steps = 4 * spec.ppo.n_steps;
-        let full = run(&spec, &grid_factory()).expect("runs");
-        let stopped =
-            run_recorded(&spec, &grid_factory(), Arc::new(StopAfterTwo::default())).expect("runs");
-        assert!(stopped.env_steps < full.env_steps, "recorder stop consumed fewer steps");
-        assert!(stopped.env_steps > 0);
+        for framework in Framework::ALL {
+            let mut spec = fast_spec(framework);
+            spec.total_steps = 4 * spec.ppo.n_steps;
+            let full = run(&spec, &grid_factory()).expect("runs");
+            let mut session = ClusterSession::new(ClusterSpec::paper_testbed(1));
+            let mut seen = Vec::new();
+            let stopped = train(&spec, &grid_factory(), &mut session, |iteration, _| {
+                seen.push(iteration);
+                if iteration >= 2 {
+                    Control::Stop
+                } else {
+                    Control::Continue
+                }
+            })
+            .expect("runs");
+            assert_eq!(seen, vec![1, 2], "{framework:?}: the hook sees every iteration");
+            assert_eq!(stopped.env_steps, full.env_steps / 2, "{framework:?}");
+        }
+    }
+
+    /// Every parameter of a trained PPO policy, in visit order.
+    fn ppo_params(report: &ExecReport) -> Vec<f64> {
+        let TrainedModel::Ppo(policy) = &report.model else { panic!("PPO model") };
+        let mut params = Vec::new();
+        for net in [&policy.actor, &policy.critic] {
+            net.clone().visit_params(|p, _| params.extend_from_slice(p));
+        }
+        params
+    }
+
+    #[test]
+    fn lr_schedule_is_applied_by_every_framework() {
+        use rl_algos::Schedule;
+        for framework in Framework::ALL {
+            let plain = run(&fast_spec(framework), &grid_factory()).expect("runs");
+            let mut spec = fast_spec(framework);
+            spec.ppo.lr_schedule = Some(Schedule::linear_to_zero(spec.ppo.lr));
+            let annealed = run(&spec, &grid_factory()).expect("runs");
+            assert_ne!(
+                ppo_params(&plain),
+                ppo_params(&annealed),
+                "{framework:?}: annealing the learning rate must change the trained policy"
+            );
+        }
     }
 }

@@ -18,18 +18,14 @@
 //! Not part of [`crate::framework::Framework`] (Table I's space is the
 //! paper's); drive it directly via [`train_impala`].
 
+use super::{train_on_policy, CollectRng, Inference, Layout, Learner, Plan, Run};
 use crate::backend::EnvFactory;
-use crate::backends::common::worker_seed;
-use crate::framework::FrameworkProfile;
-use crate::report::{ExecReport, TrainedModel};
-use crate::runtime::{
-    merge_wave, Collector, CollectorBlueprint, Driver, FaultPolicy, Runtime, SyncPolicy,
-    TransportConfig, WorkerSpec,
-};
+use crate::framework::{Framework, FrameworkProfile};
+use crate::report::ExecReport;
+use crate::runtime::{Control, FaultPolicy, SyncPolicy, TransportConfig};
 use crate::spec::Deployment;
-use cluster_sim::{ClusterSession, NodeWork, SessionEvent};
+use cluster_sim::ClusterSession;
 use rl_algos::impala::{ImpalaConfig, ImpalaLearner};
-use rng::Rng;
 
 /// IMPALA execution options.
 #[derive(Debug, Clone)]
@@ -51,7 +47,7 @@ pub struct ImpalaOpts {
     /// `None` keeps the host-parallelism default.
     pub window: Option<usize>,
     /// Transport override (`inproc`, `uds`, `tcp`, `tcp:<addr>`); `None`
-    /// defers to `RLDT_TRANSPORT`.
+    /// defers to `RLDT_TRANSPORT`. Malformed values are rejected.
     pub transport: Option<String>,
 }
 
@@ -70,135 +66,54 @@ impl Default for ImpalaOpts {
     }
 }
 
-/// Cost profile: Ray-class distributed machinery.
-fn impala_profile() -> FrameworkProfile {
-    FrameworkProfile {
-        per_iter_overhead_s: 0.5,
-        per_step_overhead_units: 120.0,
-        learner_streams: 2,
-        name: "IMPALA-like",
+/// The IMPALA plan: per-env actors like RLlib's, but every actor
+/// refreshes only every `actor_sync_period` iterations, and Ray-class
+/// cost constants.
+fn plan(actor_sync_period: u64) -> Plan {
+    Plan {
+        layout: Layout::PerEnv,
+        sync: SyncPolicy::Periodic { period: actor_sync_period },
+        collect_rng: CollectRng::Fresh { offset: 1 },
+        inference: Inference::InCollection,
+        profile: FrameworkProfile {
+            per_iter_overhead_s: 0.5,
+            per_step_overhead_units: 120.0,
+            learner_streams: 2,
+            name: "IMPALA-like",
+        },
+        // Never read: IMPALA trains no SAC learner.
+        sac_seed_tag: 0,
     }
 }
 
-/// Train with the IMPALA architecture; see the module docs. Worker
-/// failures the [`FaultPolicy`] cannot absorb surface as `Err`.
+/// Train with the IMPALA architecture; see the module docs. Deployments
+/// and transports are checked like [`crate::run`]'s, and worker failures
+/// the [`FaultPolicy`] cannot absorb surface as `Err`.
 pub fn train_impala(
     opts: &ImpalaOpts,
     factory: &dyn EnvFactory,
     session: &mut ClusterSession,
 ) -> Result<ExecReport, String> {
-    let profile = impala_profile();
-    let nodes = opts.deployment.nodes;
-    let cores = opts.deployment.cores_per_node;
-    let n_workers = nodes * cores;
-    let mut rng = Rng::new(opts.seed);
-
-    let probe = factory.make(0);
-    let obs_dim = probe.observation_space().dim();
-    let aspace = probe.action_space();
-    drop(probe);
-    let mut learner = ImpalaLearner::new(obs_dim, &aspace, opts.config.clone(), &mut rng);
-
-    let specs: Vec<WorkerSpec<'_>> = (0..n_workers)
-        .map(|w| {
-            let mut env = factory.make(worker_seed(opts.seed, w, 0));
-            let obs = env.reset();
-            let mut wspec = WorkerSpec::new(w / cores, Collector::PerEnv { env, obs })
-                .with_respawn(move || {
-                    let mut env = factory.make(worker_seed(opts.seed, w, 0));
-                    let obs = env.reset();
-                    Collector::PerEnv { env, obs }
-                });
-            if let Some(env_bp) = factory.blueprint() {
-                wspec = wspec.with_blueprint(CollectorBlueprint::per_env(
-                    env_bp,
-                    worker_seed(opts.seed, w, 0),
-                ));
-            }
-            wspec
-        })
-        .collect();
-    let tconfig = match &opts.transport {
-        Some(s) => TransportConfig::parse(s).unwrap_or_else(|e| {
-            eprintln!("impala transport ignored: {e}");
-            TransportConfig::InProcess
-        }),
-        None => TransportConfig::from_env(),
+    // IMPALA spreads over nodes the way RLlib does.
+    opts.deployment.validate(Framework::RayRllib)?;
+    let run = Run {
+        deployment: opts.deployment,
+        total_steps: opts.total_steps,
+        seed: opts.seed,
+        fault: opts.fault,
+        window: opts.window,
+        transport: TransportConfig::resolve(opts.transport.as_deref())?,
     };
-    let mut runtime =
-        Runtime::spawn_with(specs, &learner.policy, tconfig).with_fault_policy(opts.fault);
-    if let Some(w) = opts.window {
-        runtime = runtime.with_window(w);
-    }
-    runtime.set_recorder(session.recorder());
-    let mut driver = Driver::new(session);
-
-    let sync = SyncPolicy::Periodic { period: opts.actor_sync_period };
-
-    while (driver.env_steps() as usize) < opts.total_steps {
-        // Snapshot refresh on the IMPALA cadence only; every actor runs
-        // stale in between (V-trace absorbs the lag).
-        driver.broadcast(&mut runtime, &learner.policy, sync)?;
-
-        // Lane redistribution: surviving actors absorb a quarantined
-        // actor's share of the round batch.
-        let per_worker = (opts.config.n_steps / runtime.active_workers().max(1)).max(1);
-
-        // Asynchronous collection, drained into worker-index order.
-        let rngs: Vec<Rng> = (0..n_workers)
-            .map(|w| Rng::new(worker_seed(opts.seed, w, driver.iteration() + 1)))
-            .collect();
-        let outcome = runtime.collect_round(driver.iteration(), per_worker, rngs)?;
-        driver.note_faults(&outcome.faults);
-        let wave = merge_wave(outcome, nodes);
-        driver.note_returns(wave.returns);
-        let merged = wave.merged;
-        driver.note_steps(merged.len() as u64, wave.node_env_work.iter().sum());
-        learner.flops += wave.node_infer_flops.iter().sum::<u64>();
-
-        let node_spec = driver.cluster().node;
-        let work: Vec<NodeWork> = (0..nodes)
-            .map(|n| NodeWork {
-                node: n,
-                units: wave.node_env_work[n] as f64
-                    + node_spec.flops_to_units(wave.node_infer_flops[n])
-                    + profile.per_step_overhead_units * (per_worker * cores) as f64,
-                streams: cores,
-            })
-            .collect();
-        driver.apply(&SessionEvent::Compute { work });
-        if wave.shipped_bytes > 0 {
-            driver.apply(&SessionEvent::Transfer { bytes: wave.shipped_bytes });
-        }
-
-        let flops_before = learner.flops;
-        learner.update(&merged);
-        driver.apply(&SessionEvent::Compute {
-            work: vec![NodeWork {
-                node: 0,
-                units: node_spec.flops_to_units(learner.flops - flops_before),
-                streams: profile.learner_streams,
-            }],
-        });
-        driver.apply(&SessionEvent::Overhead { seconds: profile.per_iter_overhead_s });
-        if driver.end_iteration() {
-            break;
-        }
-    }
-    driver.note_wire(runtime.transport_stats().bytes_total());
-    runtime.shutdown();
-
-    let stats = driver.finish();
-    Ok(ExecReport {
-        model: TrainedModel::Ppo(Box::new(learner.policy.clone())),
-        usage: Default::default(),
-        env_steps: stats.env_steps,
-        env_work: stats.env_work,
-        learn_flops: learner.flops,
-        train_returns: stats.train_returns,
-        updates: learner.updates,
-        degraded: stats.degraded,
-    })
+    train_on_policy(
+        &plan(opts.actor_sync_period),
+        &run,
+        |obs_dim, space, rng| {
+            Learner::Impala(ImpalaLearner::new(obs_dim, space, opts.config.clone(), rng))
+        },
+        factory,
+        session,
+        &mut |_, _| Control::Continue,
+    )
 }
 
 #[cfg(test)]
@@ -240,21 +155,34 @@ mod tests {
 
     #[test]
     fn impala_learns_despite_extreme_staleness() {
-        let opts = ImpalaOpts {
-            deployment: Deployment { nodes: 1, cores_per_node: 4 },
-            total_steps: 24_000,
-            seed: 9,
-            config: ImpalaConfig { hidden: vec![32, 32], n_steps: 512, ..Default::default() },
-            actor_sync_period: 6,
-            ..Default::default()
-        };
-        let (report, _) = run(&opts);
-        let tail = &report.train_returns[report.train_returns.len().saturating_sub(15)..];
-        let mean = tail.iter().sum::<f64>() / tail.len().max(1) as f64;
+        // Ten seeds fixed up front; the median tail mean must clear the
+        // bar, so one unlucky seed cannot decide the verdict.
+        let mut tail_means: Vec<f64> = (0..10)
+            .map(|seed| {
+                let opts = ImpalaOpts {
+                    deployment: Deployment { nodes: 1, cores_per_node: 4 },
+                    total_steps: 24_000,
+                    seed,
+                    config: ImpalaConfig {
+                        hidden: vec![32, 32],
+                        n_steps: 512,
+                        ..Default::default()
+                    },
+                    actor_sync_period: 6,
+                    ..Default::default()
+                };
+                let (report, _) = run(&opts);
+                let tail = &report.train_returns[report.train_returns.len().saturating_sub(15)..];
+                tail.iter().sum::<f64>() / tail.len().max(1) as f64
+            })
+            .collect();
+        let per_seed = tail_means.clone();
+        tail_means.sort_by(f64::total_cmp);
+        let median = (tail_means[4] + tail_means[5]) / 2.0;
         // Random wandering scores far below zero on the 3x3 grid; a
         // partially-converged policy sits well above it even with the
         // six-iteration snapshot lag.
-        assert!(mean > 0.25, "recent mean return {mean}");
+        assert!(median > 0.25, "median recent mean return {median}; per seed {per_seed:?}");
     }
 
     #[test]
@@ -289,5 +217,29 @@ mod tests {
         assert_eq!(a.train_returns, b.train_returns);
         assert_eq!(ua.wall_s.to_bits(), ub.wall_s.to_bits());
         assert_eq!(ua.energy_j.to_bits(), ub.energy_j.to_bits());
+    }
+
+    #[test]
+    fn zero_cores_is_an_error_not_a_panic() {
+        let opts = ImpalaOpts {
+            deployment: Deployment { nodes: 1, cores_per_node: 0 },
+            total_steps: 256,
+            ..Default::default()
+        };
+        let mut session = ClusterSession::new(ClusterSpec::paper_testbed(1));
+        assert!(train_impala(&opts, &grid_factory(), &mut session).is_err());
+    }
+
+    #[test]
+    fn malformed_transport_is_rejected() {
+        let opts = ImpalaOpts {
+            deployment: Deployment { nodes: 1, cores_per_node: 2 },
+            total_steps: 256,
+            transport: Some("udp".into()),
+            ..Default::default()
+        };
+        let mut session = ClusterSession::new(ClusterSpec::paper_testbed(1));
+        let err = train_impala(&opts, &grid_factory(), &mut session).err();
+        assert!(err.is_some_and(|e| e.contains("udp")), "udp is not a transport");
     }
 }

@@ -20,281 +20,33 @@
 //! 2-node merge no longer depends on completion order: reports are bitwise
 //! reproducible at every deployment.
 
-use crate::backend::{Backend, EnvFactory};
-use crate::backends::common::{sac_step, worker_seed};
+use super::{CollectRng, Inference, Layout, Plan};
 use crate::framework::Framework;
-use crate::report::{ExecReport, TrainedModel};
-use crate::runtime::{
-    merge_wave, Collector, CollectorBlueprint, Driver, Runtime, SyncPolicy, WorkerSpec,
-};
-use crate::spec::ExecSpec;
-use cluster_sim::{ClusterSession, NodeWork, SessionEvent};
-use gymrs::Environment;
-use rl_algos::ppo::PpoLearner;
-use rl_algos::sac::SacLearner;
-use rl_algos::Algorithm;
-use rng::Rng;
+use crate::runtime::SyncPolicy;
 
 /// How many iterations a remote node keeps a weight snapshot before the
 /// learner broadcasts a fresh one (1 ⇒ fully synchronous).
 const REMOTE_SYNC_PERIOD: u64 = 2;
 
-/// See the module docs.
-pub struct RllibLike;
-
-impl Backend for RllibLike {
-    fn framework(&self) -> Framework {
-        Framework::RayRllib
-    }
-
-    fn train(
-        &self,
-        spec: &ExecSpec,
-        factory: &dyn EnvFactory,
-        session: &mut ClusterSession,
-    ) -> Result<ExecReport, String> {
-        match spec.algorithm {
-            Algorithm::Ppo => train_ppo(spec, factory, session),
-            Algorithm::Sac => Ok(train_sac(spec, factory, session)),
-        }
-    }
-}
-
-fn train_ppo(
-    spec: &ExecSpec,
-    factory: &dyn EnvFactory,
-    session: &mut ClusterSession,
-) -> Result<ExecReport, String> {
-    let profile = Framework::RayRllib.profile();
-    let nodes = spec.deployment.nodes;
-    let cores = spec.deployment.cores_per_node;
-    let n_workers = nodes * cores;
-    let mut rng = Rng::new(spec.seed);
-
-    // Bring up the worker set: one per-env actor per core, pinned to its
-    // node, alive for the whole trial.
-    let probe = factory.make(0);
-    let obs_dim = probe.observation_space().dim();
-    let aspace = probe.action_space();
-    drop(probe);
-    let mut learner = PpoLearner::new(obs_dim, &aspace, spec.ppo.clone(), &mut rng);
-    // Per-env rollout actors, each with a respawn factory rebuilding the
-    // worker's environment from its original seed after a thread death.
-    let specs: Vec<WorkerSpec<'_>> = (0..n_workers)
-        .map(|w| {
-            let mut env = factory.make(worker_seed(spec.seed, w, 0));
-            let obs = env.reset();
-            let mut wspec = WorkerSpec::new(w / cores, Collector::PerEnv { env, obs })
-                .with_respawn(move || {
-                    let mut env = factory.make(worker_seed(spec.seed, w, 0));
-                    let obs = env.reset();
-                    Collector::PerEnv { env, obs }
-                });
-            if let Some(env_bp) = factory.blueprint() {
-                wspec = wspec.with_blueprint(CollectorBlueprint::per_env(
-                    env_bp,
-                    worker_seed(spec.seed, w, 0),
-                ));
-            }
-            wspec
-        })
-        .collect();
-    let mut runtime = Runtime::spawn_with(specs, &learner.policy, spec.transport_config())
-        .with_fault_policy(spec.fault);
-    if let Some(w) = spec.window {
-        runtime = runtime.with_window(w);
-    }
-    runtime.set_recorder(session.recorder());
-    let mut driver = Driver::new(session);
-
-    let batch = learner.config().n_steps;
-    let sync = SyncPolicy::RemotePeriodic { period: REMOTE_SYNC_PERIOD };
-
-    while (driver.env_steps() as usize) < spec.total_steps {
-        // --- Weight sync: local workers every iteration; remote nodes on
-        // their broadcast period (stale in between). Weights crossing the
-        // wire are narrated as one transfer.
-        driver.broadcast(&mut runtime, &learner.policy, sync)?;
-
-        // Lane redistribution: the round batch is divided across the
-        // *healthy* workers, so a quarantined worker's share moves to the
-        // survivors instead of shrinking the batch.
-        let per_worker = (batch / runtime.active_workers().max(1)).max(1);
-
-        // --- Parallel collection, merged deterministically by worker
-        // index (the runtime's reproducibility improvement over Ray's
-        // completion-order merge).
-        let rngs: Vec<Rng> = (0..n_workers)
-            .map(|w| Rng::new(worker_seed(spec.seed, w, driver.iteration() + 1)))
-            .collect();
-        let outcome = runtime.collect_round(driver.iteration(), per_worker, rngs)?;
-        driver.note_faults(&outcome.faults);
-        let wave = merge_wave(outcome, nodes);
-        driver.note_returns(wave.returns);
-        let merged = wave.merged;
-        let steps = merged.len() as u64;
-        driver.note_steps(steps, wave.node_env_work.iter().sum());
-        learner.flops += wave.node_infer_flops.iter().sum::<u64>();
-
-        // --- Narration: nodes collect concurrently; remote experience
-        // crosses the wire; the learner updates on node 0.
-        let node_spec = driver.cluster().node;
-        let per_node_overhead = profile.per_step_overhead_units * (per_worker * cores) as f64;
-        let work: Vec<NodeWork> = (0..nodes)
-            .map(|n| NodeWork {
-                node: n,
-                units: wave.node_env_work[n] as f64
-                    + node_spec.flops_to_units(wave.node_infer_flops[n])
-                    + per_node_overhead,
-                streams: cores,
-            })
-            .collect();
-        driver.apply(&SessionEvent::Compute { work });
-        if wave.shipped_bytes > 0 {
-            driver.apply(&SessionEvent::Transfer { bytes: wave.shipped_bytes });
-        }
-
-        let flops_before = learner.flops;
-        learner.update(&merged, &mut rng);
-        let update_flops = learner.flops - flops_before;
-        driver.apply(&SessionEvent::Compute {
-            work: vec![NodeWork {
-                node: 0,
-                units: node_spec.flops_to_units(update_flops),
-                streams: profile.learner_streams,
-            }],
-        });
-        driver.apply(&SessionEvent::Overhead { seconds: profile.per_iter_overhead_s });
-
-        if driver.end_iteration() {
-            break;
-        }
-    }
-    driver.note_wire(runtime.transport_stats().bytes_total());
-    runtime.shutdown();
-
-    let stats = driver.finish();
-    Ok(ExecReport {
-        model: TrainedModel::Ppo(Box::new(learner.policy.clone())),
-        usage: Default::default(),
-        env_steps: stats.env_steps,
-        env_work: stats.env_work,
-        learn_flops: learner.flops,
-        train_returns: stats.train_returns,
-        updates: learner.updates,
-        degraded: stats.degraded,
-    })
-}
-
-fn train_sac(
-    spec: &ExecSpec,
-    factory: &dyn EnvFactory,
-    session: &mut ClusterSession,
-) -> ExecReport {
-    let profile = Framework::RayRllib.profile();
-    let nodes = spec.deployment.nodes;
-    let cores = spec.deployment.cores_per_node;
-    let n_workers = nodes * cores;
-    let mut rng = Rng::new(spec.seed);
-
-    let mut envs: Vec<Box<dyn Environment>> =
-        (0..n_workers).map(|w| factory.make(worker_seed(spec.seed, w, 2))).collect();
-    let obs_dim = envs[0].observation_space().dim();
-    let aspace = envs[0].action_space();
-    let mut learner = SacLearner::new(obs_dim, &aspace, spec.sac.clone(), &mut rng);
-    let mut obs: Vec<Vec<f64>> = envs.iter_mut().map(|e| e.reset()).collect();
-    let mut ep_rets = vec![0.0; n_workers];
-
-    // SAC keeps the learner in the interaction loop; the driver owns the
-    // bookkeeping and narrates the distributed shape (concurrent nodes,
-    // experience/weight traffic) exactly as before.
-    let mut driver = Driver::new(session);
-    let round = 32usize;
-    // Approximate per-transition payload for the experience shipping.
-    let transition_bytes = (obs_dim * 2 + 4) as u64 * 8;
-
-    while (driver.env_steps() as usize) < spec.total_steps {
-        let flops_before = learner.flops;
-        let mut node_env_work = vec![0u64; nodes];
-        let mut remote_steps = 0u64;
-        let mut iter_steps = 0u64;
-        for _ in 0..round {
-            for w in 0..n_workers {
-                if (driver.env_steps() + iter_steps) as usize >= spec.total_steps {
-                    break;
-                }
-                let (units, fin) = sac_step(
-                    &mut learner,
-                    envs[w].as_mut(),
-                    &mut obs[w],
-                    &mut ep_rets[w],
-                    &mut rng,
-                );
-                let node = w / cores;
-                node_env_work[node] += units;
-                if node != 0 {
-                    remote_steps += 1;
-                }
-                iter_steps += 1;
-                if let Some(r) = fin {
-                    driver.note_return(r);
-                }
-            }
-        }
-        driver.note_steps(iter_steps, node_env_work.iter().sum());
-        let update_flops = learner.flops - flops_before;
-
-        let node_spec = driver.cluster().node;
-        let work: Vec<NodeWork> = (0..nodes)
-            .map(|n| NodeWork {
-                node: n,
-                units: node_env_work[n] as f64
-                    + profile.per_step_overhead_units * (round * cores) as f64,
-                streams: cores,
-            })
-            .collect();
-        driver.apply(&SessionEvent::Compute { work });
-        if remote_steps > 0 {
-            driver.apply(&SessionEvent::Transfer { bytes: remote_steps * transition_bytes });
-            // Weight broadcast back to the remote interaction workers.
-            driver.apply(&SessionEvent::Transfer { bytes: learner.param_bytes() });
-        }
-        driver.apply(&SessionEvent::Compute {
-            work: vec![NodeWork {
-                node: 0,
-                units: node_spec.flops_to_units(update_flops),
-                streams: profile.learner_streams,
-            }],
-        });
-        driver.apply(&SessionEvent::Overhead {
-            seconds: profile.per_iter_overhead_s * round as f64 / 256.0,
-        });
-        if driver.end_iteration() {
-            break;
-        }
-    }
-
-    let stats = driver.finish();
-    let learn_flops = learner.flops;
-    let updates = learner.updates;
-    ExecReport {
-        model: TrainedModel::Sac(Box::new(learner)),
-        usage: Default::default(),
-        env_steps: stats.env_steps,
-        env_work: stats.env_work,
-        learn_flops,
-        train_returns: stats.train_returns,
-        updates,
-        degraded: stats.degraded,
+pub(super) fn plan() -> Plan {
+    Plan {
+        layout: Layout::PerEnv,
+        sync: SyncPolicy::RemotePeriodic { period: REMOTE_SYNC_PERIOD },
+        collect_rng: CollectRng::Fresh { offset: 1 },
+        inference: Inference::InCollection,
+        profile: Framework::RayRllib.profile(),
+        sac_seed_tag: 2,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{run, FnEnvFactory};
-    use crate::spec::Deployment;
+    use crate::backend::{run, EnvFactory, FnEnvFactory};
+    use crate::spec::{Deployment, ExecSpec};
     use gymrs::envs::{GridWorld, PointMass};
+    use gymrs::Environment;
+    use rl_algos::Algorithm;
 
     fn grid_factory() -> impl EnvFactory {
         FnEnvFactory(|seed| {
@@ -380,9 +132,9 @@ mod tests {
         use cluster_sim::{ClusterSession, ClusterSpec, PhaseEvent};
         let spec = spec(Algorithm::Ppo, 2, 2, 512);
         let mut session = ClusterSession::new(ClusterSpec::paper_testbed(2)).with_trace();
-        let backend = RllibLike;
         let factory = grid_factory();
-        let _report = backend.train(&spec, &factory, &mut session).expect("runs");
+        let _report = crate::train(&spec, &factory, &mut session, |_, _| crate::Control::Continue)
+            .expect("runs");
         let trace = session.trace().to_vec();
         assert!(!trace.is_empty());
         let computes = trace.iter().filter(|e| matches!(e, PhaseEvent::Compute { .. })).count();

@@ -9,279 +9,37 @@
 //! reach slightly better rewards (§VI-C, solutions 14 vs 15/16).
 //!
 //! Everything runs on one node. Collection, inference and learning are
-//! strictly serialized (the SB3 training loop): the backend drives a
-//! single vectorized runtime worker with [`SyncPolicy::EveryRound`], and
-//! the learner's *master* rng rides the collect command so the draw order
+//! strictly serialized (the SB3 training loop): the plan drives a single
+//! vectorized runtime worker with [`SyncPolicy::EveryRound`], narrates
+//! inference as its own phase on the learner's streams, and lets the
+//! learner's *master* rng ride the collect command so the draw order
 //! (collect, then update, one stream) is exactly the SB3 loop's. This
 //! remains the most deterministic — and reward-wise most reliable —
 //! backend.
 
-use crate::backend::{Backend, EnvFactory};
-use crate::backends::common::{sac_step, worker_seed};
+use super::{CollectRng, Inference, Layout, Plan};
 use crate::framework::Framework;
-use crate::report::{ExecReport, TrainedModel};
-use crate::runtime::{
-    merge_wave, Collector, CollectorBlueprint, Driver, Runtime, SyncPolicy, WorkerSpec,
-};
-use crate::spec::ExecSpec;
-use cluster_sim::{ClusterSession, NodeWork, SessionEvent};
-use gymrs::VecEnv;
-use rl_algos::ppo::PpoLearner;
-use rl_algos::sac::SacLearner;
-use rl_algos::Algorithm;
-use rng::Rng;
+use crate::runtime::SyncPolicy;
 
-/// See the module docs.
-pub struct StableBaselinesLike;
-
-impl Backend for StableBaselinesLike {
-    fn framework(&self) -> Framework {
-        Framework::StableBaselines
-    }
-
-    fn train(
-        &self,
-        spec: &ExecSpec,
-        factory: &dyn EnvFactory,
-        session: &mut ClusterSession,
-    ) -> Result<ExecReport, String> {
-        match spec.algorithm {
-            Algorithm::Ppo => train_ppo(spec, factory, session),
-            Algorithm::Sac => Ok(train_sac(spec, factory, session)),
-        }
-    }
-}
-
-fn train_ppo(
-    spec: &ExecSpec,
-    factory: &dyn EnvFactory,
-    session: &mut ClusterSession,
-) -> Result<ExecReport, String> {
-    let profile = Framework::StableBaselines.profile();
-    let n_envs = spec.deployment.cores_per_node;
-    // The master rng rides the collect command across any transport and
-    // comes back advanced (same seed, same draw order in every transport).
-    let mut rng = Rng::new(spec.seed);
-
-    // Build the vectorized sub-environments (pre-seeded worker streams).
-    let recorder = session.recorder();
-    let envs: Vec<_> = (0..n_envs).map(|i| factory.make(worker_seed(spec.seed, i, 0))).collect();
-    let mut venv = VecEnv::new_preseeded(envs);
-    venv.set_recorder(recorder.clone());
-    let obs_dim = venv.observation_space().dim();
-    let aspace = venv.action_space();
-    let mut learner = PpoLearner::new(obs_dim, &aspace, spec.ppo.clone(), &mut rng);
-    venv.reset_all();
-
-    let batch = learner.config().n_steps;
-    let per_env = (batch / n_envs).max(1);
-
-    // One vectorized worker actor owns the whole VecEnv: SB3's training
-    // loop is a single process, so the runtime holds one actor on node 0.
-    // The respawn factory rebuilds the VecEnv with the original worker
-    // seeds; the master rng survives failures on the driver side (it is
-    // cloned before every dispatch).
-    let respawn_recorder = recorder.clone();
-    let spawn_venv = move || {
-        let envs: Vec<_> =
-            (0..n_envs).map(|i| factory.make(worker_seed(spec.seed, i, 0))).collect();
-        let mut venv = VecEnv::new_preseeded(envs);
-        venv.set_recorder(respawn_recorder.clone());
-        venv.reset_all();
-        Collector::Vectorized { venv }
-    };
-    let mut wspec = WorkerSpec::new(0, Collector::Vectorized { venv }).with_respawn(spawn_venv);
-    if let Some(env_bp) = factory.blueprint() {
-        let seeds = (0..n_envs).map(|i| worker_seed(spec.seed, i, 0)).collect();
-        wspec = wspec.with_blueprint(CollectorBlueprint::vectorized(env_bp, seeds));
-    }
-    let mut runtime = Runtime::spawn_with(vec![wspec], &learner.policy, spec.transport_config())
-        .with_fault_policy(spec.fault);
-    if let Some(w) = spec.window {
-        runtime = runtime.with_window(w);
-    }
-    runtime.set_recorder(recorder);
-    let mut driver = Driver::new(session);
-
-    while (driver.env_steps() as usize) < spec.total_steps {
-        learner.anneal(driver.env_steps() as f64 / spec.total_steps as f64);
-        // --- Collection: lockstep vectorized stepping with batched policy
-        // evaluation — one actor + one critic forward per tick over all
-        // `cores` sub-environments (total batch = cores × per_env). The
-        // master rng rides along and comes back advanced.
-        let flops_before = learner.flops;
-        driver.broadcast(&mut runtime, &learner.policy, SyncPolicy::EveryRound)?;
-        let outcome = runtime.collect_round(driver.iteration(), per_env, vec![rng])?;
-        driver.note_faults(&outcome.faults);
-        let wave = merge_wave(outcome, 1);
-        rng = wave.rngs.into_iter().next().expect("one worker");
-        let iter_env_work = wave.node_env_work[0];
-        let iter_infer_flops = wave.node_infer_flops[0];
-        driver.note_returns(wave.returns);
-        let merged = wave.merged;
-        let steps = merged.len() as u64;
-        driver.note_steps(steps, iter_env_work);
-        learner.flops += iter_infer_flops;
-
-        // --- Update.
-        learner.update(&merged, &mut rng);
-        let update_flops = learner.flops - flops_before - iter_infer_flops;
-
-        // --- Narration: env stepping parallelized over the vectorized
-        // envs; inference serialized with the loop (vectorized BLAS uses
-        // the learner streams); learning likewise.
-        let node = driver.cluster().node;
-        let overhead_units = profile.per_step_overhead_units * steps as f64;
-        driver.apply(&SessionEvent::Compute {
-            work: vec![NodeWork {
-                node: 0,
-                units: iter_env_work as f64 + overhead_units,
-                streams: n_envs,
-            }],
-        });
-        driver.apply(&SessionEvent::Compute {
-            work: vec![NodeWork {
-                node: 0,
-                units: node.flops_to_units(iter_infer_flops),
-                streams: profile.learner_streams,
-            }],
-        });
-        driver.apply(&SessionEvent::Compute {
-            work: vec![NodeWork {
-                node: 0,
-                units: node.flops_to_units(update_flops),
-                streams: profile.learner_streams,
-            }],
-        });
-        driver.apply(&SessionEvent::Overhead { seconds: profile.per_iter_overhead_s });
-        if driver.end_iteration() {
-            break;
-        }
-    }
-    driver.note_wire(runtime.transport_stats().bytes_total());
-    runtime.shutdown();
-
-    let stats = driver.finish();
-    Ok(ExecReport {
-        model: TrainedModel::Ppo(Box::new(learner.policy.clone())),
-        usage: Default::default(),
-        env_steps: stats.env_steps,
-        env_work: stats.env_work,
-        learn_flops: learner.flops,
-        train_returns: stats.train_returns,
-        updates: learner.updates,
-        degraded: stats.degraded,
-    })
-}
-
-fn train_sac(
-    spec: &ExecSpec,
-    factory: &dyn EnvFactory,
-    session: &mut ClusterSession,
-) -> ExecReport {
-    let profile = Framework::StableBaselines.profile();
-    let n_envs = spec.deployment.cores_per_node;
-    let mut rng = Rng::new(spec.seed);
-
-    let mut envs: Vec<_> =
-        (0..n_envs).map(|i| factory.make(worker_seed(spec.seed, i, 1))).collect();
-    let obs_dim = envs[0].observation_space().dim();
-    let aspace = envs[0].action_space();
-    let mut learner = SacLearner::new(obs_dim, &aspace, spec.sac.clone(), &mut rng);
-    let mut obs: Vec<Vec<f64>> = envs.iter_mut().map(|e| e.reset()).collect();
-    let mut ep_rets = vec![0.0; n_envs];
-
-    // SAC keeps the learner in the interaction loop (every step feeds the
-    // replay buffer and may trigger updates), so there is no detachable
-    // collection to hand to runtime actors; the driver still owns all
-    // bookkeeping and narration.
-    let mut driver = Driver::new(session);
-    // Round size: one lockstep sweep over the vectorized envs.
-    let round = 32usize;
-
-    while (driver.env_steps() as usize) < spec.total_steps {
-        let flops_before = learner.flops;
-        let mut iter_env_work = 0u64;
-        let mut iter_steps = 0u64;
-        for _ in 0..round {
-            for i in 0..n_envs {
-                if (driver.env_steps() + iter_steps) as usize >= spec.total_steps {
-                    break;
-                }
-                let (w, fin) = sac_step(
-                    &mut learner,
-                    envs[i].as_mut(),
-                    &mut obs[i],
-                    &mut ep_rets[i],
-                    &mut rng,
-                );
-                iter_env_work += w;
-                iter_steps += 1;
-                if let Some(r) = fin {
-                    driver.note_return(r);
-                }
-            }
-        }
-        driver.note_steps(iter_steps, iter_env_work);
-        let update_flops = learner.flops - flops_before;
-        let steps = (round * n_envs) as u64;
-
-        let node = driver.cluster().node;
-        driver.apply(&SessionEvent::Compute {
-            work: vec![NodeWork {
-                node: 0,
-                units: iter_env_work as f64 + profile.per_step_overhead_units * steps as f64,
-                streams: n_envs,
-            }],
-        });
-        driver.apply(&SessionEvent::Compute {
-            work: vec![NodeWork {
-                node: 0,
-                units: node.flops_to_units(update_flops),
-                streams: profile.learner_streams,
-            }],
-        });
-        driver.apply(&SessionEvent::Overhead {
-            seconds: profile.per_iter_overhead_s * round as f64 / 256.0,
-        });
-        if driver.end_iteration() {
-            break;
-        }
-    }
-
-    let stats = driver.finish();
-    ExecReport {
-        model: TrainedModel::Sac(Box::new(learner)),
-        usage: Default::default(),
-        env_steps: stats.env_steps,
-        env_work: stats.env_work,
-        learn_flops: 0,
-        train_returns: stats.train_returns,
-        updates: 0,
-        degraded: stats.degraded,
-    }
-    .with_learner_counts()
-}
-
-impl ExecReport {
-    /// Fill `learn_flops`/`updates` from a SAC model after construction
-    /// (the learner moves into the report).
-    fn with_learner_counts(mut self) -> Self {
-        if let TrainedModel::Sac(l) = &self.model {
-            self.learn_flops = l.flops;
-            self.updates = l.updates;
-        }
-        self
+pub(super) fn plan() -> Plan {
+    Plan {
+        layout: Layout::Vectorized,
+        sync: SyncPolicy::EveryRound,
+        collect_rng: CollectRng::Master,
+        inference: Inference::OwnPhase,
+        profile: Framework::StableBaselines.profile(),
+        sac_seed_tag: 1,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{run, FnEnvFactory};
-    use crate::spec::Deployment;
+    use crate::backend::{run, EnvFactory, FnEnvFactory};
+    use crate::spec::{Deployment, ExecSpec};
     use gymrs::envs::{GridWorld, PointMass};
     use gymrs::Environment;
+    use rl_algos::Algorithm;
 
     fn grid_factory() -> impl EnvFactory {
         FnEnvFactory(|seed| {

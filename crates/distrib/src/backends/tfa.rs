@@ -6,247 +6,36 @@
 //! driver: one vectorized runtime actor fans environment steps across
 //! cores while the policy evaluates all workers' observations in a single
 //! batched forward per tick, refreshed with [`SyncPolicy::EveryRound`].
+//! Inference is charged inside the collection phase, and collection
+//! samples from a fresh per-round worker stream, decoupled from the
+//! learner's rng.
 //! The framework's per-step path is the leanest of the three, which is
 //! where the paper's "lowest power consumption" observation comes from
 //! (§VI-B, solution 11).
 
-use crate::backend::{Backend, EnvFactory};
-use crate::backends::common::{sac_step, worker_seed};
+use super::{CollectRng, Inference, Layout, Plan};
 use crate::framework::Framework;
-use crate::report::{ExecReport, TrainedModel};
-use crate::runtime::{
-    merge_wave, Collector, CollectorBlueprint, Driver, Runtime, SyncPolicy, WorkerSpec,
-};
-use crate::spec::ExecSpec;
-use cluster_sim::{ClusterSession, NodeWork, SessionEvent};
-use gymrs::{Environment, VecEnv};
-use rl_algos::ppo::PpoLearner;
-use rl_algos::sac::SacLearner;
-use rl_algos::Algorithm;
-use rng::Rng;
+use crate::runtime::SyncPolicy;
 
-/// See the module docs.
-pub struct TfAgentsLike;
-
-impl Backend for TfAgentsLike {
-    fn framework(&self) -> Framework {
-        Framework::TfAgents
-    }
-
-    fn train(
-        &self,
-        spec: &ExecSpec,
-        factory: &dyn EnvFactory,
-        session: &mut ClusterSession,
-    ) -> Result<ExecReport, String> {
-        match spec.algorithm {
-            Algorithm::Ppo => train_ppo(spec, factory, session),
-            Algorithm::Sac => Ok(train_sac(spec, factory, session)),
-        }
-    }
-}
-
-fn train_ppo(
-    spec: &ExecSpec,
-    factory: &dyn EnvFactory,
-    session: &mut ClusterSession,
-) -> Result<ExecReport, String> {
-    let profile = Framework::TfAgents.profile();
-    let workers = spec.deployment.cores_per_node;
-    let mut rng = Rng::new(spec.seed);
-
-    let recorder = session.recorder();
-    let envs: Vec<Box<dyn Environment>> =
-        (0..workers).map(|i| factory.make(worker_seed(spec.seed, i, 0))).collect();
-    let mut venv = VecEnv::new_preseeded(envs);
-    venv.set_recorder(recorder.clone());
-    let obs_dim = venv.observation_space().dim();
-    let aspace = venv.action_space();
-    let mut learner = PpoLearner::new(obs_dim, &aspace, spec.ppo.clone(), &mut rng);
-    venv.reset_all();
-
-    let batch = learner.config().n_steps;
-    let per_worker = (batch / workers).max(1);
-
-    // One vectorized actor models the parallel driver: collection runs on
-    // a fresh per-round worker stream, decoupled from the learner's rng.
-    let respawn_recorder = recorder.clone();
-    let spawn_venv = move || {
-        let envs: Vec<Box<dyn Environment>> =
-            (0..workers).map(|i| factory.make(worker_seed(spec.seed, i, 0))).collect();
-        let mut venv = VecEnv::new_preseeded(envs);
-        venv.set_recorder(respawn_recorder.clone());
-        venv.reset_all();
-        Collector::Vectorized { venv }
-    };
-    let mut wspec = WorkerSpec::new(0, Collector::Vectorized { venv }).with_respawn(spawn_venv);
-    if let Some(env_bp) = factory.blueprint() {
-        let seeds = (0..workers).map(|i| worker_seed(spec.seed, i, 0)).collect();
-        wspec = wspec.with_blueprint(CollectorBlueprint::vectorized(env_bp, seeds));
-    }
-    let mut runtime = Runtime::spawn_with(vec![wspec], &learner.policy, spec.transport_config())
-        .with_fault_policy(spec.fault);
-    if let Some(w) = spec.window {
-        runtime = runtime.with_window(w);
-    }
-    runtime.set_recorder(recorder);
-    let mut driver = Driver::new(session);
-
-    while (driver.env_steps() as usize) < spec.total_steps {
-        // --- Parallel collection: the driver batches all `workers`
-        // environments through one actor/critic forward per tick (the
-        // batched-driver analogue of TF-Agents overlapping stepping and
-        // inference), and the vectorized actor fans env steps across
-        // cores.
-        driver.broadcast(&mut runtime, &learner.policy, SyncPolicy::EveryRound)?;
-        let wrng = Rng::new(worker_seed(spec.seed, 0, driver.iteration() + 1000));
-        let outcome = runtime.collect_round(driver.iteration(), per_worker, vec![wrng])?;
-        driver.note_faults(&outcome.faults);
-        let wave = merge_wave(outcome, 1);
-
-        let iter_env_work = wave.node_env_work[0];
-        let iter_infer_flops = wave.node_infer_flops[0];
-        driver.note_returns(wave.returns);
-        let merged = wave.merged;
-        let steps = merged.len() as u64;
-        driver.note_steps(steps, iter_env_work);
-        learner.flops += iter_infer_flops;
-
-        let flops_before = learner.flops;
-        learner.update(&merged, &mut rng);
-        let update_flops = learner.flops - flops_before;
-
-        // --- Narration: env work AND inference overlap across the
-        // workers (this is the driver's whole point); learning uses the
-        // full node's BLAS threads.
-        let node = driver.cluster().node;
-        let overhead_units = profile.per_step_overhead_units * steps as f64;
-        let collect_units =
-            iter_env_work as f64 + node.flops_to_units(iter_infer_flops) + overhead_units;
-        driver.apply(&SessionEvent::Compute {
-            work: vec![NodeWork { node: 0, units: collect_units, streams: workers }],
-        });
-        driver.apply(&SessionEvent::Compute {
-            work: vec![NodeWork {
-                node: 0,
-                units: node.flops_to_units(update_flops),
-                streams: profile.learner_streams,
-            }],
-        });
-        driver.apply(&SessionEvent::Overhead { seconds: profile.per_iter_overhead_s });
-        if driver.end_iteration() {
-            break;
-        }
-    }
-    driver.note_wire(runtime.transport_stats().bytes_total());
-    runtime.shutdown();
-
-    let stats = driver.finish();
-    Ok(ExecReport {
-        model: TrainedModel::Ppo(Box::new(learner.policy.clone())),
-        usage: Default::default(),
-        env_steps: stats.env_steps,
-        env_work: stats.env_work,
-        learn_flops: learner.flops,
-        train_returns: stats.train_returns,
-        updates: learner.updates,
-        degraded: stats.degraded,
-    })
-}
-
-fn train_sac(
-    spec: &ExecSpec,
-    factory: &dyn EnvFactory,
-    session: &mut ClusterSession,
-) -> ExecReport {
-    let profile = Framework::TfAgents.profile();
-    let workers = spec.deployment.cores_per_node;
-    let mut rng = Rng::new(spec.seed);
-
-    let mut envs: Vec<Box<dyn Environment>> =
-        (0..workers).map(|i| factory.make(worker_seed(spec.seed, i, 1))).collect();
-    let obs_dim = envs[0].observation_space().dim();
-    let aspace = envs[0].action_space();
-    let mut learner = SacLearner::new(obs_dim, &aspace, spec.sac.clone(), &mut rng);
-    let mut obs: Vec<Vec<f64>> = envs.iter_mut().map(|e| e.reset()).collect();
-    let mut ep_rets = vec![0.0; workers];
-
-    // SAC keeps the learner in the interaction loop (see the SB3 backend);
-    // bookkeeping and narration still flow through the driver.
-    let mut driver = Driver::new(session);
-    let round = 32usize;
-
-    while (driver.env_steps() as usize) < spec.total_steps {
-        let flops_before = learner.flops;
-        let mut iter_env_work = 0u64;
-        let mut iter_steps = 0u64;
-        for _ in 0..round {
-            for i in 0..workers {
-                if (driver.env_steps() + iter_steps) as usize >= spec.total_steps {
-                    break;
-                }
-                let (w, fin) = sac_step(
-                    &mut learner,
-                    envs[i].as_mut(),
-                    &mut obs[i],
-                    &mut ep_rets[i],
-                    &mut rng,
-                );
-                iter_env_work += w;
-                iter_steps += 1;
-                if let Some(r) = fin {
-                    driver.note_return(r);
-                }
-            }
-        }
-        driver.note_steps(iter_steps, iter_env_work);
-        let update_flops = learner.flops - flops_before;
-        let steps = (round * workers) as u64;
-
-        let node = driver.cluster().node;
-        driver.apply(&SessionEvent::Compute {
-            work: vec![NodeWork {
-                node: 0,
-                units: iter_env_work as f64 + profile.per_step_overhead_units * steps as f64,
-                streams: workers,
-            }],
-        });
-        driver.apply(&SessionEvent::Compute {
-            work: vec![NodeWork {
-                node: 0,
-                units: node.flops_to_units(update_flops),
-                streams: profile.learner_streams,
-            }],
-        });
-        driver.apply(&SessionEvent::Overhead {
-            seconds: profile.per_iter_overhead_s * round as f64 / 256.0,
-        });
-        if driver.end_iteration() {
-            break;
-        }
-    }
-
-    let stats = driver.finish();
-    let learn_flops = learner.flops;
-    let updates = learner.updates;
-    ExecReport {
-        model: TrainedModel::Sac(Box::new(learner)),
-        usage: Default::default(),
-        env_steps: stats.env_steps,
-        env_work: stats.env_work,
-        learn_flops,
-        train_returns: stats.train_returns,
-        updates,
-        degraded: stats.degraded,
+pub(super) fn plan() -> Plan {
+    Plan {
+        layout: Layout::Vectorized,
+        sync: SyncPolicy::EveryRound,
+        collect_rng: CollectRng::Fresh { offset: 1000 },
+        inference: Inference::InCollection,
+        profile: Framework::TfAgents.profile(),
+        sac_seed_tag: 1,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{run, FnEnvFactory};
-    use crate::spec::Deployment;
+    use crate::backend::{run, EnvFactory, FnEnvFactory};
+    use crate::spec::{Deployment, ExecSpec};
     use gymrs::envs::{GridWorld, PointMass};
+    use gymrs::Environment;
+    use rl_algos::Algorithm;
 
     fn grid_factory() -> impl EnvFactory {
         FnEnvFactory(|seed| {

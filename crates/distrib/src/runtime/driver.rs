@@ -2,21 +2,21 @@
 //! wave merging and iteration bookkeeping.
 //!
 //! A [`Driver`] wraps the trial's `ClusterSession` and owns the
-//! bookkeeping every backend used to duplicate: environment step/work
-//! counters, the training-return log, and the iteration index. Backends
+//! bookkeeping every training loop needs: environment step/work
+//! counters, the training-return log, and the iteration index. The loops
 //! narrate costs exclusively through [`Driver::apply`] — one
 //! [`SessionEvent`] per phase — so the cluster trace and the per-iteration
-//! reward reports come from one code path. Study-level concerns (pruning,
-//! live reward curves) tap the loop through the session's telemetry
-//! recorder: every iteration emits a [`keys::TRIAL_ITERATION`] event, and
-//! a recorder answering `true` from
-//! [`should_stop`](telemetry::Recorder::should_stop) ends the trial at
-//! the next iteration boundary.
+//! reward reports come from one code path. Every iteration emits a
+//! [`keys::TRIAL_ITERATION`] event to the session's telemetry recorder,
+//! which only observes. Whether the trial goes on is the caller's call:
+//! [`Driver::end_iteration`] hands the iteration number and tail-mean
+//! return to a caller-supplied hook and returns its [`Control`] verdict
+//! (this is how pruners stop a running trial).
 //!
 //! The [`SyncPolicy`] matrix captures how each framework keeps its
 //! workers' policy snapshots fresh:
 //!
-//! | Backend | Policy | Meaning |
+//! | Framework plan | Policy | Meaning |
 //! |---|---|---|
 //! | Stable-Baselines-like | [`SyncPolicy::EveryRound`] | strict synchrony: every worker refreshed before every collection |
 //! | TF-Agents-like | [`SyncPolicy::EveryRound`] | same single-node synchrony |
@@ -42,6 +42,15 @@ pub const REPORT_WINDOW: usize = 20;
 pub fn report_mean(returns: &[f64]) -> f64 {
     let tail = &returns[returns.len().saturating_sub(REPORT_WINDOW)..];
     tail.iter().sum::<f64>() / tail.len() as f64
+}
+
+/// A per-iteration hook's verdict on whether training goes on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Control {
+    /// Run the next iteration.
+    Continue,
+    /// End the trial at this iteration boundary.
+    Stop,
 }
 
 /// When a driver pushes fresh weights to which workers. See the module
@@ -186,11 +195,6 @@ impl<'a> Driver<'a> {
         }
     }
 
-    /// The recorder trial-level telemetry is routed to (the session's).
-    pub fn recorder(&self) -> SharedRecorder {
-        self.recorder.clone()
-    }
-
     /// The simulated cluster being narrated to.
     pub fn cluster(&self) -> &ClusterSpec {
         self.session.spec()
@@ -204,11 +208,6 @@ impl<'a> Driver<'a> {
     /// Environment steps consumed.
     pub fn env_steps(&self) -> u64 {
         self.env_steps
-    }
-
-    /// Returns logged so far.
-    pub fn returns(&self) -> &[f64] {
-        &self.train_returns
     }
 
     /// Narrate one event to the cluster session. Returns the simulated
@@ -285,12 +284,13 @@ impl<'a> Driver<'a> {
         self.train_returns.extend(rets);
     }
 
-    /// Close the current iteration: bump the counter and emit the
-    /// [`keys::TRIAL_ITERATION`] event. Returns `true` if the recorder —
-    /// via [`should_stop`](telemetry::Recorder::should_stop) — wants the
-    /// trial stopped early (e.g. a pruner decided it is hopeless).
-    pub fn end_iteration(&mut self) -> bool {
+    /// Close the current iteration: bump the counter, emit the
+    /// [`keys::TRIAL_ITERATION`] event, and return the verdict of
+    /// `on_iteration`, called with the iteration number and the tail-mean
+    /// return ([`report_mean`]) whether or not the recorder is enabled.
+    pub fn end_iteration(&mut self, on_iteration: &mut dyn FnMut(u64, f64) -> Control) -> Control {
         self.iteration += 1;
+        let mean_return = report_mean(&self.train_returns);
         if self.recorder.enabled() {
             self.recorder.event(
                 keys::TRIAL_ITERATION,
@@ -298,11 +298,11 @@ impl<'a> Driver<'a> {
                     (keys::F_ITERATION, Value::U64(self.iteration)),
                     (keys::F_ENV_STEPS, Value::U64(self.env_steps)),
                     (keys::F_WALL_S, Value::F64(self.session.now())),
-                    (keys::F_MEAN_RETURN, Value::F64(report_mean(&self.train_returns))),
+                    (keys::F_MEAN_RETURN, Value::F64(mean_return)),
                 ],
             );
         }
-        self.recorder.should_stop()
+        on_iteration(self.iteration, mean_return)
     }
 
     /// Surrender the accumulated counters.
@@ -349,47 +349,30 @@ mod tests {
         assert_eq!(policy.recipients(4, &nodes), vec![0, 1, 2, 3]);
     }
 
-    /// A recorder that answers `should_stop` after seeing `limit`
-    /// [`keys::TRIAL_ITERATION`] events — the recorder-native analogue
-    /// of the old per-iteration pruning hook.
-    struct StopAfter {
-        limit: u64,
-        seen: std::sync::atomic::AtomicU64,
-    }
-    impl telemetry::Recorder for StopAfter {
-        fn counter_add(&self, _: telemetry::Key, _: u64) {}
-        fn accum_add(&self, _: telemetry::Key, _: f64) {}
-        fn gauge_set(&self, _: telemetry::Key, _: f64) {}
-        fn span_begin(&self, _: telemetry::Key) -> telemetry::SpanId {
-            telemetry::SpanId(0)
-        }
-        fn span_end(&self, _: telemetry::SpanId) {}
-        fn event(&self, key: telemetry::Key, _: &[(telemetry::Key, Value)]) {
-            if key == keys::TRIAL_ITERATION {
-                self.seen.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            }
-        }
-        fn should_stop(&self) -> bool {
-            self.seen.load(std::sync::atomic::Ordering::SeqCst) >= self.limit
-        }
-    }
-
     #[test]
-    fn driver_counts_and_stops_via_the_recorder() {
-        let stopper =
-            std::sync::Arc::new(StopAfter { limit: 2, seen: std::sync::atomic::AtomicU64::new(0) });
-        let mut session =
-            ClusterSession::with_recorder(ClusterSpec::paper_testbed(1), stopper.clone());
+    fn driver_counts_and_stops_via_the_hook() {
+        // A disabled recorder: the hook still sees every iteration.
+        let mut session = ClusterSession::new(ClusterSpec::paper_testbed(1));
         let mut driver = Driver::new(&mut session);
+        let mut seen = Vec::new();
+        let mut stop_at_two = |iteration: u64, mean: f64| {
+            seen.push((iteration, mean));
+            if iteration >= 2 {
+                Control::Stop
+            } else {
+                Control::Continue
+            }
+        };
         driver.note_steps(128, 128);
         driver.note_return(1.5);
-        assert!(!driver.end_iteration(), "recorder stops only at iteration 2");
+        assert_eq!(driver.end_iteration(&mut stop_at_two), Control::Continue);
         driver.note_steps(128, 128);
-        assert!(driver.end_iteration());
+        assert_eq!(driver.end_iteration(&mut stop_at_two), Control::Stop);
         let stats = driver.finish();
         assert_eq!(stats.env_steps, 256);
         assert_eq!(stats.env_work, 256);
         assert_eq!(stats.train_returns, vec![1.5]);
+        assert_eq!(seen, vec![(1, 1.5), (2, 1.5)]);
     }
 
     #[test]
@@ -409,7 +392,7 @@ mod tests {
         });
         driver.note_faults(&faults);
         assert!(driver.is_degraded());
-        driver.end_iteration();
+        driver.end_iteration(&mut |_, _| Control::Continue);
         let stats = driver.finish();
         assert!(stats.degraded);
         // Both backoff charges landed in simulated time.
@@ -423,7 +406,7 @@ mod tests {
             ClusterSession::with_recorder(ClusterSpec::paper_testbed(1), ring.clone());
         let mut driver = Driver::new(&mut session);
         driver.apply(&SessionEvent::Overhead { seconds: 2.5 });
-        driver.end_iteration();
+        driver.end_iteration(&mut |_, _| Control::Continue);
         let snap = ring.snapshot();
         let e = snap.events_named(keys::TRIAL_ITERATION.name()).next().expect("iteration event");
         assert!(e.field_f64(keys::F_WALL_S.name()).expect("wall_s field") >= 2.5);

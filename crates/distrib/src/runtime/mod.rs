@@ -40,7 +40,7 @@ pub mod whatif;
 pub mod worker;
 
 pub use driver::{
-    merge_wave, report_mean, Driver, DriverStats, SyncPolicy, WaveOutcome, REPORT_WINDOW,
+    merge_wave, report_mean, Control, Driver, DriverStats, SyncPolicy, WaveOutcome, REPORT_WINDOW,
 };
 pub use event::{Command, Event, WILDCARD_ROUND};
 #[cfg(any(test, feature = "fault-inject"))]

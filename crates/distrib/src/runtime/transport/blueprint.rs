@@ -14,7 +14,7 @@ use crate::backend::EnvFactory;
 use crate::runtime::worker::Collector;
 use airdrop_sim::{AirdropConfig, AirdropEnv};
 use gymrs::envs::{GridWorld, Pendulum, PointMass};
-use gymrs::{Environment, VecEnv};
+use gymrs::Environment;
 
 /// The environments the repo can name on the wire: the toy suite plus
 /// the paper's airdrop simulator in its two standard configurations.
@@ -112,16 +112,7 @@ impl CollectorBlueprint {
     /// Build the collector exactly the way the backends do in-process:
     /// pre-seeded envs, then an initial reset.
     pub fn build(&self) -> Collector {
-        if self.vectorized {
-            let envs: Vec<_> = self.seeds.iter().map(|&s| self.env.build(s)).collect();
-            let mut venv = VecEnv::new_preseeded(envs);
-            venv.reset_all();
-            Collector::Vectorized { venv }
-        } else {
-            let mut env = self.env.build(self.seeds[0]);
-            let obs = env.reset();
-            Collector::PerEnv { env, obs }
-        }
+        Collector::build(&self.env, &self.seeds, self.vectorized, telemetry::null_recorder())
     }
 
     pub(super) fn encode(&self, buf: &mut Vec<u8>) {

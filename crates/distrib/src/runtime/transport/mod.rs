@@ -4,11 +4,11 @@
 //! [`Command`]s to workers and drains typed [`Event`]s, merging results
 //! in worker-index order. This module provides the seam:
 //!
-//! * [`channel`] — the default in-process transport: one long-lived
+//! * `channel` — the default in-process transport: one long-lived
 //!   thread per worker, `mpsc` channels, values moved by ownership.
 //!   Bitwise-identical to the pre-transport runtime (it *is* that
 //!   runtime, behind the trait).
-//! * [`process`] — workers as spawned child processes speaking the
+//! * `process` — workers as spawned child processes speaking the
 //!   [`codec`] wire format over Unix domain sockets (or TCP via
 //!   `RLDT_TRANSPORT=tcp[:<addr>]`).
 //!
@@ -81,6 +81,15 @@ impl TransportConfig {
                 Some(addr) if !addr.is_empty() => Ok(TransportConfig::Tcp { addr: addr.into() }),
                 _ => Err(format!("unknown transport {s:?} (use inproc, uds, tcp or tcp:<addr>)")),
             },
+        }
+    }
+
+    /// Resolve a run's transport request: the explicit string when given
+    /// (malformed values are an error), else `RLDT_TRANSPORT`.
+    pub(crate) fn resolve(request: Option<&str>) -> Result<Self, String> {
+        match request {
+            Some(s) => TransportConfig::parse(s),
+            None => Ok(TransportConfig::from_env()),
         }
     }
 

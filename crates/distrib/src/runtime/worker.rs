@@ -6,9 +6,9 @@
 //! their environment and observation state across rounds, exactly like
 //! the persistent rollout workers of the real frameworks.
 //!
-//! The state machine is transport-neutral: [`WorkerState::handle`] maps
+//! The state machine is transport-neutral: `WorkerState::handle` maps
 //! one command to events via an `emit` callback, and the two transports
-//! wrap it differently — [`worker_loop`] runs it on an in-process mpsc
+//! wrap it differently — `worker_loop` runs it on an in-process mpsc
 //! pair, the `rldt-worker` child process runs it over a socket.
 //!
 //! Fault containment: a panic inside a collection is caught, reported as
@@ -21,13 +21,15 @@
 use super::event::{panic_text, Command, Event};
 #[cfg(any(test, feature = "fault-inject"))]
 use super::fault::{FaultKind, FaultPlan};
+use crate::backend::EnvFactory;
 use crate::backends::common::{collect_segment, collect_segment_vec, Segment};
-use gymrs::{Environment, VecEnv};
+use gymrs::{Environment, Space, VecEnv};
 use rl_algos::policy::ActorCritic;
 use rng::Rng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{Receiver, Sender};
 use std::time::Duration;
+use telemetry::SharedRecorder;
 
 /// The environment state a worker owns: one environment with a carried
 /// observation (distributed rollout workers), or a whole vectorized
@@ -51,6 +53,36 @@ pub enum Collector {
 }
 
 impl Collector {
+    /// Build a collector over freshly made, pre-seeded environments and
+    /// reset it: a lockstep [`VecEnv`] over every seed when `vectorized`
+    /// (ticks reported to `recorder`), else one environment built from
+    /// `seeds[0]` carrying its first observation.
+    pub(crate) fn build(
+        factory: &dyn EnvFactory,
+        seeds: &[u64],
+        vectorized: bool,
+        recorder: SharedRecorder,
+    ) -> Self {
+        if vectorized {
+            let mut venv = VecEnv::new_preseeded(seeds.iter().map(|&s| factory.make(s)).collect());
+            venv.set_recorder(recorder);
+            venv.reset_all();
+            Collector::Vectorized { venv }
+        } else {
+            let mut env = factory.make(seeds[0]);
+            let obs = env.reset();
+            Collector::PerEnv { env, obs }
+        }
+    }
+
+    /// The observation width and action space of the stepped environments.
+    pub(crate) fn spaces(&self) -> (usize, Space) {
+        match self {
+            Collector::PerEnv { env, .. } => (env.observation_space().dim(), env.action_space()),
+            Collector::Vectorized { venv } => (venv.observation_space().dim(), venv.action_space()),
+        }
+    }
+
     fn collect(&mut self, policy: &ActorCritic, steps: usize, rng: &mut Rng) -> Segment {
         match self {
             Collector::PerEnv { env, obs } => {

@@ -104,18 +104,6 @@ impl ExecSpec {
         self
     }
 
-    /// Resolve this spec's transport request: the explicit field when
-    /// set, else the `RLDT_TRANSPORT` environment variable.
-    pub fn transport_config(&self) -> crate::runtime::TransportConfig {
-        match &self.transport {
-            Some(s) => crate::runtime::TransportConfig::parse(s).unwrap_or_else(|e| {
-                eprintln!("spec transport ignored: {e}");
-                crate::runtime::TransportConfig::InProcess
-            }),
-            None => crate::runtime::TransportConfig::from_env(),
-        }
-    }
-
     /// Check deployment/framework consistency.
     pub fn validate(&self) -> Result<(), String> {
         self.deployment.validate(self.framework)?;

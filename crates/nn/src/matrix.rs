@@ -244,7 +244,7 @@ impl Matrix {
     /// `out = self · rhsᵀ` without materialising the transpose.
     ///
     /// Both operands are walked along their contiguous rows (no packing
-    /// needed in row-major layout); each output element is a [`dot`] with
+    /// needed in row-major layout); each output element is a `dot` product with
     /// four independent accumulators.
     pub fn matmul_transpose_rhs_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, rhs.cols, "matmul_transpose_rhs shape mismatch");

@@ -8,8 +8,8 @@
 //! `n_envs × obs_dim` observation batch. The blocked matmul kernels in
 //! `tinynn` guarantee batched rows are bitwise identical to single-row
 //! evaluation, so with one sub-environment this collector reproduces the
-//! sequential [`crate::ppo::PpoLearner::collect`] trajectory exactly
-//! (same rng draws, same values) — the tests pin that down.
+//! sequential [`collect_steps`] trajectory exactly (same rng draws, same
+//! values) — the tests pin that down.
 //!
 //! Critic economy: the successor values computed for bootstrapping tick
 //! `t` are exactly the current-state values of tick `t + 1`, so they are
@@ -29,12 +29,12 @@ use gymrs::{Environment, VecEnv};
 use rng::Rng;
 use tinynn::Matrix;
 
-/// Result of one lockstep collection sweep.
+/// Result of one collection sweep.
 #[derive(Debug)]
-pub struct LockstepOutcome {
-    /// Per-env segments concatenated in env order, each tail closed
-    /// (`dones.last == true`) so GAE's λ-chain cannot leak across
-    /// environment boundaries.
+pub struct CollectOutcome {
+    /// The collected steps. A lockstep sweep concatenates per-env
+    /// segments in env order, each tail closed (`dones.last == true`) so
+    /// GAE's λ-chain cannot leak across environment boundaries.
     pub rollout: RolloutBuffer,
     /// Environment work units consumed during the sweep.
     pub env_work: u64,
@@ -44,6 +44,71 @@ pub struct LockstepOutcome {
     pub actor_rows: u64,
     /// Observation rows pushed through the critic (FLOP accounting).
     pub critic_rows: u64,
+}
+
+/// Collect `n` steps from one environment, continuing from `obs`, with
+/// per-step policy evaluation. Episode boundaries auto-reset; the final
+/// step bootstraps with the critic's value of the carried observation,
+/// and the tail is left open.
+///
+/// The bootstrap value `V(s')` of one step is exactly the current value
+/// `V(s)` of the next, so it is cached instead of recomputed — the critic
+/// runs roughly once per step instead of twice, with bitwise-identical
+/// results (the critic is deterministic and draws nothing from `rng`).
+pub fn collect_steps(
+    policy: &ActorCritic,
+    env: &mut dyn Environment,
+    obs: &mut Vec<f64>,
+    n: usize,
+    rng: &mut Rng,
+) -> CollectOutcome {
+    let mut rollout = RolloutBuffer::with_capacity(n);
+    let mut env_work = 0u64;
+    let mut episodes = Vec::new();
+    let mut ep_ret = 0.0;
+    let mut ep_len = 0usize;
+    let mut value = policy.value(obs);
+    let mut critic_rows = 1u64;
+    for _ in 0..n {
+        let d = policy.dist(obs);
+        let action = d.sample(rng);
+        let log_prob = d.log_prob(&action);
+        let s = env.step(&action);
+        env_work += env.last_step_work();
+        ep_ret += s.reward;
+        ep_len += 1;
+        let done = s.done();
+        // Truncated episodes bootstrap from the (real) final state;
+        // terminated ones do not.
+        let next_value = if s.terminated {
+            0.0
+        } else {
+            critic_rows += 1;
+            policy.value(&s.obs)
+        };
+        rollout.push(
+            std::mem::take(obs),
+            action,
+            s.reward,
+            s.terminated,
+            done,
+            value,
+            next_value,
+            log_prob,
+        );
+        if done {
+            episodes.push((ep_ret, ep_len));
+            ep_ret = 0.0;
+            ep_len = 0;
+            *obs = env.reset();
+            value = policy.value(obs);
+            critic_rows += 1;
+        } else {
+            *obs = s.obs;
+            value = next_value;
+        }
+    }
+    CollectOutcome { rollout, env_work, episodes, actor_rows: n as u64, critic_rows }
 }
 
 /// Collect `ticks` lockstep sweeps of experience from `venv`.
@@ -59,7 +124,7 @@ pub fn collect_lockstep<E: Environment>(
     venv: &mut VecEnv<E>,
     ticks: usize,
     rng: &mut Rng,
-) -> LockstepOutcome {
+) -> CollectOutcome {
     let n = venv.len();
     let work_before = venv.total_work;
     let mut buffers: Vec<RolloutBuffer> =
@@ -163,7 +228,7 @@ pub fn collect_lockstep<E: Environment>(
         }
         rollout.extend(b);
     }
-    LockstepOutcome {
+    CollectOutcome {
         rollout,
         env_work: venv.total_work - work_before,
         episodes,

@@ -3,7 +3,7 @@
 //! §II-A: "IMPALA, a highly scalable agent introducing a new off-policy
 //! algorithm called V-trace". This learner consumes rollouts collected by
 //! *stale* policy snapshots (the regime the RLlib-like backend creates on
-//! two nodes) and corrects them with [`crate::vtrace`], so throughput can
+//! two nodes) and corrects them with [`crate::vtrace()`], so throughput can
 //! scale without the reward degradation the paper observes for naive
 //! distribution (§VI-D, configs 7 vs 8).
 //!

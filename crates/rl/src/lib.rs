@@ -10,21 +10,23 @@
 //! * [`gae`] — generalized advantage estimation;
 //! * [`buffer`] — on-policy rollout storage and the off-policy replay
 //!   ring buffer;
-//! * [`collect`] — lockstep batched collection over vectorized envs
-//!   (one actor/critic forward per tick, however many sub-envs);
+//! * [`collect`] — per-step collection from one environment, and
+//!   lockstep batched collection over vectorized envs (one actor/critic
+//!   forward per tick, however many sub-envs);
 //! * [`policy`] — actor-critic policy heads (categorical / diagonal
 //!   Gaussian) shared by the trainers;
 //! * [`ppo`] — the clipped-surrogate PPO learner;
 //! * [`sac`] — twin-critic SAC with automatic entropy temperature;
-//! * [`trainer`] — a single-node training loop driving either algorithm
-//!   on any environment (the distributed drivers live in `dist-exec`).
+//! * [`impala`] and [`mod@vtrace`] — the V-trace-corrected IMPALA learner;
+//! * [`schedules`] — learning-rate schedules.
+//!
+//! The training loops that drive these learners live in `dist-exec`.
 //!
 //! Both learners expose *pure update* APIs (`update_from_rollout`,
 //! `update_from_batch`) so the distributed backends can feed them data
 //! collected elsewhere — exactly the separation of acting from learning
 //! the paper describes for distributed RL architectures (§II-A).
 
-pub mod a2c;
 pub mod buffer;
 pub mod collect;
 pub mod gae;
@@ -33,18 +35,15 @@ pub mod policy;
 pub mod ppo;
 pub mod sac;
 pub mod schedules;
-pub mod trainer;
 pub mod vtrace;
 
-pub use a2c::{A2cConfig, A2cLearner, A2cStats};
 pub use buffer::{ReplayBuffer, RolloutBuffer, Transition};
-pub use collect::{collect_lockstep, LockstepOutcome};
+pub use collect::{collect_lockstep, collect_steps, CollectOutcome};
 pub use impala::{ImpalaConfig, ImpalaLearner, ImpalaStats};
 pub use policy::{ActorCritic, PolicyHead};
 pub use ppo::{PpoConfig, PpoLearner, PpoStats};
 pub use sac::{SacConfig, SacLearner, SacStats};
 pub use schedules::Schedule;
-pub use trainer::{train, EvalSpec, TrainProgress, TrainReport, TrainSpec};
 pub use vtrace::{vtrace, VtraceConfig, VtraceResult};
 
 /// Which of the paper's two algorithms a configuration uses (Table I's

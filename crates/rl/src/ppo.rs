@@ -12,10 +12,10 @@
 // Index loops here co-index several arrays; zip chains would obscure them.
 #![allow(clippy::needless_range_loop)]
 use crate::buffer::RolloutBuffer;
-use crate::collect::collect_lockstep;
+use crate::collect::{collect_steps, CollectOutcome};
 use crate::gae;
 use crate::policy::{ActorCritic, Dist, PolicyHead};
-use gymrs::{Action, Environment, Space, VecEnv};
+use gymrs::{Action, Environment, Space};
 use rng::Rng;
 use tinynn::{backward_flops, clip_grad_norm, forward_flops, Adam, Matrix, Optimizer, Tape};
 
@@ -94,17 +94,6 @@ pub struct PpoStats {
     pub clip_fraction: f64,
 }
 
-/// One rollout-collection result.
-#[derive(Debug)]
-pub struct CollectOutcome {
-    /// The collected segment.
-    pub rollout: RolloutBuffer,
-    /// Environment work units consumed (derivative evaluations).
-    pub env_work: u64,
-    /// `(return, length)` of episodes that finished during collection.
-    pub episodes: Vec<(f64, usize)>,
-}
-
 /// The PPO learner: policy + optimizers + work accounting.
 pub struct PpoLearner {
     /// The actor-critic being trained.
@@ -151,16 +140,8 @@ impl PpoLearner {
     }
 
     /// Collect `n_steps` of experience from `env` starting at `*obs`
-    /// (which is updated to the observation where collection stopped).
-    ///
-    /// Episode boundaries auto-reset; the final step bootstraps with the
-    /// critic's value of the carried observation.
-    ///
-    /// The bootstrap value `V(s')` of one step is exactly the current
-    /// value `V(s)` of the next, so it is cached instead of recomputed —
-    /// the critic runs roughly once per step instead of twice, with
-    /// bitwise-identical results (the critic is deterministic and draws
-    /// nothing from `rng`).
+    /// (which is updated to the observation where collection stopped)
+    /// with [`collect_steps`], and account the inference FLOPs.
     pub fn collect(
         &mut self,
         env: &mut dyn Environment,
@@ -168,78 +149,10 @@ impl PpoLearner {
         n_steps: usize,
         rng: &mut Rng,
     ) -> CollectOutcome {
-        let mut rollout = RolloutBuffer::with_capacity(n_steps);
-        let mut env_work = 0u64;
-        let mut episodes = Vec::new();
-        let mut ep_ret = 0.0;
-        let mut ep_len = 0usize;
-        let mut value = self.policy.value(obs);
-        let mut critic_rows = 1usize;
-        for _ in 0..n_steps {
-            let d = self.policy.dist(obs);
-            let action = d.sample(rng);
-            let log_prob = d.log_prob(&action);
-            let s = env.step(&action);
-            env_work += env.last_step_work();
-            ep_ret += s.reward;
-            ep_len += 1;
-            let done = s.done();
-            // Truncated episodes bootstrap from the (real) final state;
-            // terminated ones do not.
-            let next_value = if s.terminated {
-                0.0
-            } else {
-                critic_rows += 1;
-                self.policy.value(&s.obs)
-            };
-            rollout.push(
-                std::mem::take(obs),
-                action,
-                s.reward,
-                s.terminated,
-                done,
-                value,
-                next_value,
-                log_prob,
-            );
-            if done {
-                episodes.push((ep_ret, ep_len));
-                ep_ret = 0.0;
-                ep_len = 0;
-                *obs = env.reset();
-                value = self.policy.value(obs);
-                critic_rows += 1;
-            } else {
-                *obs = s.obs;
-                value = next_value;
-            }
-        }
-        // Inference cost of collection: one actor pass per step plus the
-        // critic rows actually evaluated.
-        let a_sizes = self.policy.actor.sizes();
-        let c_sizes = self.policy.critic.sizes();
-        self.flops += forward_flops(&a_sizes, n_steps) + forward_flops(&c_sizes, critic_rows);
-        CollectOutcome { rollout, env_work, episodes }
-    }
-
-    /// Collect `ticks` lockstep sweeps from a vectorized environment with
-    /// *batched* policy evaluation: one actor and one critic forward per
-    /// tick regardless of the number of sub-environments. See
-    /// [`collect_lockstep`] for the exact semantics (per-env segments
-    /// concatenated, tails closed, truncation bootstrapped from the
-    /// pre-reset observation).
-    pub fn collect_vec<E: Environment>(
-        &mut self,
-        venv: &mut VecEnv<E>,
-        ticks: usize,
-        rng: &mut Rng,
-    ) -> CollectOutcome {
-        let out = collect_lockstep(&self.policy, venv, ticks, rng);
-        let a_sizes = self.policy.actor.sizes();
-        let c_sizes = self.policy.critic.sizes();
-        self.flops += forward_flops(&a_sizes, out.actor_rows as usize)
-            + forward_flops(&c_sizes, out.critic_rows as usize);
-        CollectOutcome { rollout: out.rollout, env_work: out.env_work, episodes: out.episodes }
+        let out = collect_steps(&self.policy, env, obs, n_steps, rng);
+        self.flops += forward_flops(&self.policy.actor.sizes(), out.actor_rows as usize)
+            + forward_flops(&self.policy.critic.sizes(), out.critic_rows as usize);
+        out
     }
 
     /// One PPO update over a rollout (epochs × minibatches).
@@ -535,36 +448,6 @@ mod tests {
             }
         }
         assert_eq!(out.env_work, 300, "grid world costs 1 unit per step");
-    }
-
-    #[test]
-    fn collect_vec_matches_sequential_collect() {
-        // A single-sub-env VecEnv collection must reproduce the per-step
-        // collector exactly: the batched kernels are row-bitwise
-        // deterministic and the rng draw order is identical.
-        let cfg = PpoConfig::fast_test();
-        let mut learner_a =
-            PpoLearner::new(2, &gymrs::Space::Discrete(4), cfg.clone(), &mut Rng::new(21));
-        let mut learner_b = PpoLearner::new(2, &gymrs::Space::Discrete(4), cfg, &mut Rng::new(21));
-
-        let mut env = GridWorld::new(3);
-        env.seed(7);
-        let mut obs = env.reset();
-        let seq = learner_a.collect(&mut env, &mut obs, 200, &mut Rng::new(33));
-
-        let mut venv = gymrs::VecEnv::new(vec![GridWorld::new(3)], 7);
-        venv.reset_all();
-        let vec_out = learner_b.collect_vec(&mut venv, 200, &mut Rng::new(33));
-
-        assert_eq!(vec_out.rollout.obs, seq.rollout.obs);
-        assert_eq!(vec_out.rollout.actions, seq.rollout.actions);
-        assert_eq!(vec_out.rollout.rewards, seq.rollout.rewards);
-        assert_eq!(vec_out.rollout.values, seq.rollout.values);
-        assert_eq!(vec_out.rollout.next_values, seq.rollout.next_values);
-        assert_eq!(vec_out.rollout.log_probs, seq.rollout.log_probs);
-        assert_eq!(vec_out.env_work, seq.env_work);
-        assert_eq!(vec_out.episodes, seq.episodes);
-        assert!(learner_b.flops > 0);
     }
 
     #[test]

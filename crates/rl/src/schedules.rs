@@ -1,7 +1,8 @@
 //! Scalar schedules (learning rate, clip range) over training progress.
 //!
 //! The paper's frameworks anneal PPO's learning rate linearly by default;
-//! the trainer applies a [`Schedule`] between updates.
+//! the `dist-exec` training loops apply a [`Schedule`] between updates
+//! through `PpoLearner::anneal`.
 
 /// A scalar schedule evaluated at training progress `p ∈ [0, 1]`
 /// (0 = start, 1 = end of the step budget).

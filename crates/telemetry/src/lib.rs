@@ -122,13 +122,6 @@ pub trait Recorder {
     /// [`ring::MAX_EVENT_FIELDS`] key/value fields (extra fields are
     /// dropped).
     fn event(&self, key: Key, fields: &[(Key, Value)]);
-
-    /// Cooperative cancellation: instrumented drivers poll this between
-    /// iterations and stop early when it returns `true`. This is how
-    /// pruners reach into a running trial through the telemetry layer.
-    fn should_stop(&self) -> bool {
-        false
-    }
 }
 
 /// A recorder that records nothing: every method is an empty body the
@@ -179,7 +172,6 @@ mod tests {
     fn null_recorder_is_disabled_and_inert() {
         let r = null_recorder();
         assert!(!r.enabled());
-        assert!(!r.should_stop());
         r.counter_add(Key("c"), 1);
         r.accum_add(Key("a"), 1.0);
         r.gauge_set(Key("g"), 1.0);

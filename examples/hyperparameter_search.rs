@@ -9,16 +9,15 @@
 //! ```
 //!
 //! With `--resume` the example demonstrates the crash-resume path
-//! instead: a journaled study is interrupted mid-run (via the telemetry
-//! layer's cooperative stop), then rebuilt from its write-ahead log —
-//! finished trials are adopted from the journal and only the remainder
-//! execute.
+//! instead: a journaled study's write-ahead log is cut after half of its
+//! finished trials, as a crash would leave it, then the study is rebuilt
+//! from the cut log — finished trials are adopted from the journal and
+//! only the remainder execute.
 
 use rl_decision_tools::decision::prelude::*;
 use rl_decision_tools::gymrs::envs::PointMass;
 use rl_decision_tools::gymrs::Environment;
 use rl_decision_tools::rl_algos::ppo::{PpoConfig, PpoLearner};
-use rl_decision_tools::telemetry::{Key, Recorder, SpanId, Value};
 use rng::Rng;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -91,42 +90,25 @@ fn run_search(explorer: impl Explorer + 'static, prune: bool, label: &str) {
     }
 }
 
-/// A recorder that requests a cooperative stop once `limit` trials have
-/// finished — a stand-in for a crash, SIGTERM, or preemption.
-struct StopAfter {
-    limit: usize,
-    done: AtomicUsize,
+/// Whether a WAL line records a trial's end (completed, pruned or failed).
+fn is_finish(line: &str) -> bool {
+    StudyEvent::from_line(line).is_ok_and(|e| {
+        let k = e.key();
+        k == wal_keys::TRIAL_COMPLETED || k == wal_keys::TRIAL_PRUNED || k == wal_keys::TRIAL_FAILED
+    })
 }
 
-impl Recorder for StopAfter {
-    fn counter_add(&self, key: Key, delta: u64) {
-        // Every finished trial bumps one `study.trials_*` counter.
-        if key.name().starts_with("study.trials_") {
-            self.done.fetch_add(delta as usize, Ordering::Relaxed);
-        }
-    }
-    fn accum_add(&self, _key: Key, _delta: f64) {}
-    fn gauge_set(&self, _key: Key, _value: f64) {}
-    fn span_begin(&self, _key: Key) -> SpanId {
-        SpanId(0)
-    }
-    fn span_end(&self, _id: SpanId) {}
-    fn event(&self, _key: Key, _fields: &[(Key, Value)]) {}
-    fn should_stop(&self) -> bool {
-        self.done.load(Ordering::Relaxed) >= self.limit
-    }
-}
-
-/// The `--resume` demo: interrupt a journaled study partway, then rebuild
-/// it from the WAL and finish the budget without re-running what's done.
+/// The `--resume` demo: cut a journaled study's WAL partway, as a crash,
+/// SIGTERM or preemption would, then rebuild the study from the log and
+/// finish the budget without re-running what's done.
 fn demo_resume(budget: usize) {
     let wal = std::env::temp_dir().join("hyperparameter_search_demo.wal");
     let _ = std::fs::remove_file(&wal);
     let calls = Arc::new(AtomicUsize::new(0));
 
-    let study = |stop_after: Option<usize>| {
+    let study = || {
         let calls = calls.clone();
-        let mut b = Study::builder("tpe resume demo")
+        Study::builder("tpe resume demo")
             .space(
                 ParamSpace::builder()
                     .log_float("lr", 1e-5, 3e-3)
@@ -141,25 +123,32 @@ fn demo_resume(budget: usize) {
             .objective(move |cfg, ctx| {
                 calls.fetch_add(1, Ordering::Relaxed);
                 objective(cfg, ctx)
-            });
-        if let Some(limit) = stop_after {
-            b = b.recorder(Arc::new(StopAfter { limit, done: AtomicUsize::new(0) }));
-        }
-        b.build().expect("valid study")
+            })
+            .build()
+            .expect("valid study")
     };
 
+    study().run().expect("journaled run");
+    // Keep the log up to the `cut`-th finished trial: everything after it
+    // is what the crash lost.
     let cut = budget / 2;
-    let partial = study(Some(cut)).run().expect("interrupted run");
-    let ran_before = calls.load(Ordering::Relaxed);
-    println!(
-        "interrupted after {} of {budget} trials ({} objective runs), WAL at {}",
-        partial.len(),
-        ran_before,
-        wal.display()
-    );
+    let log = std::fs::read_to_string(&wal).expect("read WAL");
+    let mut kept = String::new();
+    let mut finished = 0;
+    for line in log.lines() {
+        if finished == cut {
+            break;
+        }
+        kept.push_str(line);
+        kept.push('\n');
+        finished += usize::from(is_finish(line));
+    }
+    std::fs::write(&wal, kept).expect("cut WAL");
+    println!("WAL at {} cut after {cut} of {budget} finished trials", wal.display());
 
-    let trials = study(None).resume().expect("resumed run");
-    let ran_after = calls.load(Ordering::Relaxed) - ran_before;
+    calls.store(0, Ordering::Relaxed);
+    let trials = study().resume().expect("resumed run");
+    let ran_after = calls.load(Ordering::Relaxed);
     let adopted = trials.len() - ran_after;
     println!(
         "resumed: {} trials total, {adopted} adopted from the journal, {ran_after} executed fresh",

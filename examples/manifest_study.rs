@@ -56,7 +56,7 @@ fn main() -> Result<(), String> {
     let trials = study.run()?;
     println!(
         "{}",
-        report::table::render_table(&trials, &["rk_order", "cores", "lr"], &study.metrics())
+        report::table::render_table(&trials, &["rk_order", "cores", "lr"], &study.metrics(), None)
     );
 
     let front = ParetoFront::compute(&trials, &study.metrics());
@@ -67,7 +67,8 @@ fn main() -> Result<(), String> {
             &trials,
             &["rk_order", "cores"],
             &study.metrics(),
-            Some(&front)
+            Some(&front),
+            None
         )
     );
 

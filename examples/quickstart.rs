@@ -60,6 +60,7 @@ fn main() -> Result<(), String> {
             &trials,
             &["accuracy_order", "cores", "batch"],
             &study.metrics(),
+            None,
         )
     );
 

@@ -125,11 +125,11 @@ fn reports_render_the_full_table() {
     let trials = paper_trials();
     let params = ["draw", "rk_order", "framework", "algorithm", "nodes", "cores"];
     let metrics = paper_metrics();
-    let ascii = report::table::render_table(&trials, &params, &metrics);
+    let ascii = report::table::render_table(&trials, &params, &metrics, None);
     assert_eq!(ascii.lines().count(), 18 + 4, "18 rows + 3 rules + header");
-    let csv = report::csv::trials_to_csv(&trials, &params, &metrics);
+    let csv = report::csv::trials_to_csv(&trials, &params, &metrics, None);
     assert_eq!(csv.lines().count(), 19);
     let front = ParetoFront::compute(&trials, &metrics);
-    let md = report::markdown::trials_to_markdown(&trials, &params, &metrics, Some(&front));
+    let md = report::markdown::trials_to_markdown(&trials, &params, &metrics, Some(&front), None);
     assert_eq!(md.lines().count(), 20, "header + separator + 18 rows");
 }

@@ -39,6 +39,7 @@ fn mini_study_produces_complete_trials_and_fronts() {
             .into_iter()
             .map(|m| MetricDef { name: m.name, direction: m.direction, risk: m.risk })
             .collect::<Vec<_>>(),
+        None,
     );
     assert!(table.contains("Stable Baselines"));
     assert!(table.contains("TF-Agents"));
